@@ -137,20 +137,11 @@ func BenchmarkE11LossyThroughput(b *testing.B) {
 }
 
 // BenchmarkE12MemberScaling regenerates E12: delivered throughput and
-// acknowledgement volume vs group size, cumulative watermark acks against
-// the retired per-cast acks, plus the gob-vs-binary codec comparison. The
-// recorded table (BENCH_scaling.json) is this PR's perf trajectory; the
-// acceptance bar is a ≥5x ack-volume reduction at 16+ members.
+// cumulative-acknowledgement volume vs group size. BENCH_scaling.json also
+// keeps the retired per-cast-ack and gob-codec baseline rows.
 func BenchmarkE12MemberScaling(b *testing.B) {
-	var rows int
-	for i := 0; i < b.N; i++ {
-		t1, t2, err := experiments.E12MemberScaling(experiments.Quick)
-		if err != nil {
-			b.Fatal(err)
-		}
-		rows = t1.Rows() + t2.Rows()
-	}
-	b.ReportMetric(float64(rows), "rows")
+	t := runTable(b, experiments.E12MemberScaling)
+	b.ReportMetric(float64(t.Rows()), "rows")
 }
 
 // BenchmarkE13StateTransfer regenerates E13: KV write throughput with the

@@ -125,10 +125,7 @@ func run(scaleName, expList, jsonDir string) bool {
 		{"E9", "batching", wrap1(experiments.E9BatchingThroughput)},
 		{"E10", "chaos", wrap1(experiments.E10ChaosSurvival)},
 		{"E11", "lossy", wrap1(experiments.E11LossyThroughput)},
-		{"E12", "scaling", func() ([]*metrics.Table, error) {
-			t1, t2, err := experiments.E12MemberScaling(scale)
-			return []*metrics.Table{t1, t2}, err
-		}},
+		{"E12", "scaling", wrap1(experiments.E12MemberScaling)},
 		{"E13", "state", func() ([]*metrics.Table, error) {
 			t1, t2, err := experiments.E13StateTransfer(scale)
 			return []*metrics.Table{t1, t2}, err

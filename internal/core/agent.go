@@ -1,9 +1,11 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"sync"
+	"time"
 
 	"repro/internal/group"
 	"repro/internal/member"
@@ -29,6 +31,9 @@ type Agent struct {
 	tree           *Tree
 	leaderContacts []types.ProcessID
 	moving         bool
+	pendingMove    *directive   // redirect deferred until the leaf's checkpoint lands
+	replicated     []byte       // tree encoding last cast to the leader group...
+	replicatedView types.ViewID // ...and the leader view it was cast in
 	leaderJoining  bool
 	closed         bool
 	reqCounter     uint64
@@ -539,14 +544,24 @@ func (a *Agent) onLeaderDelivery(d group.Delivery) {
 }
 
 // replicateTree pushes the coordinator's tree to the other leader members.
+// A tree already cast in the current leader view is not cast again: the
+// periodic backstop and every no-change leaf report would otherwise keep
+// the leader group multicasting the same tree forever. A new leader view
+// always gets a fresh copy.
 func (a *Agent) replicateTree() {
 	if a.leader == nil || a.closed || a.tree == nil {
 		return
 	}
-	if a.leader.Size() <= 1 {
+	lv := a.leader.CurrentView()
+	if lv.Size() <= 1 {
 		return
 	}
-	a.leader.CastAsync(types.Total, a.tree.Encode())
+	enc := a.tree.Encode()
+	if lv.ID == a.replicatedView && bytes.Equal(enc, a.replicated) {
+		return
+	}
+	a.replicated, a.replicatedView = enc, lv.ID
+	a.leader.CastAsync(types.Total, enc)
 }
 
 // --- leader-group replenishment ---------------------------------------------------
@@ -828,9 +843,15 @@ func (a *Agent) onLeafReport(m *types.Message) {
 	a.tree.Update(r.Leaf, size, contacts)
 	// Members named by a leaf report have landed: the leaf-group state
 	// transfer has handed them the buffered records, so their relocation
-	// pins can stop holding the floor.
+	// pins can stop holding the floor. The leaf a mover was directed out of
+	// keeps naming it until its leave installs, which is not a landing. A
+	// mover that founded its leaf got no transfer, so every lander is first
+	// sent what it may have missed.
 	for _, p := range r.Members {
-		delete(a.moverWater, p)
+		if mk, pinned := a.moverWater[p]; pinned && !mk.from.Equal(r.Leaf) {
+			a.repairLanded(p, mk.water)
+			delete(a.moverWater, p)
+		}
 	}
 
 	switch {
@@ -944,45 +965,64 @@ func (a *Agent) onRedirect(m *types.Message) {
 	if !ok {
 		return
 	}
+	a.startMove(d)
+}
+
+// startMove begins relocating to the directed leaf — unless this process is
+// still waiting for its current leaf's checkpoint. The checkpoint carries the
+// broadcast records that leaf delivered before we joined, and the leader
+// pins the floor for a mover at its old leaf's watermark, which already
+// counts them: leaving before the checkpoint lands would lose them for good.
+// The deferred move is retried from the recovery tick. Actor goroutine only.
+func (a *Agent) startMove(d directive) {
 	if d.Leaf.Equal(a.leafID) {
+		a.pendingMove = nil
 		return
 	}
+	if a.leaf != nil && !a.leaf.Closed() && a.leaf.AwaitingState() {
+		a.pendingMove = &d
+		return
+	}
+	a.pendingMove = nil
 	a.moving = true
-	oldLeaf := a.leaf
-	go a.relocate(oldLeaf, d)
+	go a.relocate(a.leaf, d)
 }
 
 // relocate runs on its own goroutine: it leaves the current leaf and joins
-// (or founds) the directed one, then swaps the agent's leaf reference.
+// (or founds) the directed one, then swaps the agent's leaf reference. The
+// leave and every join attempt get their own OpTimeout, so a leave that
+// stalls (the leaf evicted us while we were wedged) cannot use up the join's
+// budget; if the directed leaf cannot be entered, the process asks the
+// leader for fresh placements until one succeeds, because a member outside
+// every leaf never receives another broadcast.
 func (a *Agent) relocate(oldLeaf *group.Group, d directive) {
-	ctx, cancel := context.WithTimeout(context.Background(), a.cfg.OpTimeout)
-	defer cancel()
-
 	if oldLeaf != nil && !oldLeaf.Closed() {
+		ctx, cancel := context.WithTimeout(context.Background(), a.cfg.OpTimeout)
 		_ = oldLeaf.Leave(ctx)
+		cancel()
 	}
-	var newLeaf *group.Group
-	var err error
-	if d.Create {
-		newLeaf, err = a.host.stack.Create(d.Leaf, a.leafGroupConfig(d.Leaf))
-	} else {
-		newLeaf, err = a.joinLeaf(ctx, d.Leaf, d.Contacts)
-	}
-	if err != nil {
-		// Fall back to asking the leader for a fresh placement so the
-		// process does not end up outside every leaf.
-		contacts := a.LeaderContacts()
-		if len(contacts) > 0 {
-			if pl, perr := a.requestPlacement(ctx, contacts[0]); perr == nil {
-				if pl.Create {
-					newLeaf, err = a.host.stack.Create(pl.Leaf, a.leafGroupConfig(pl.Leaf))
-				} else {
-					newLeaf, err = a.joinLeaf(ctx, pl.Leaf, pl.Contacts)
-				}
-				if err == nil {
-					d.Leaf = pl.Leaf
-				}
+	newLeaf, err := a.enterLeaf(d.Leaf, d.Create, d.Contacts)
+	for attempt := 0; err != nil && a.open(); attempt++ {
+		if attempt > 0 {
+			time.Sleep(a.cfg.RecoveryInterval)
+		}
+		var pl placement
+		if pl, err = a.placeAgain(attempt); err != nil {
+			continue
+		}
+		if !pl.Create && len(pl.Contacts) == 1 && pl.Contacts[0] == a.stackNode().PID() {
+			// The leader's tree still lists a leaf only we could answer
+			// for: one we just left, or one an earlier placement reserved
+			// for us whose reply we never saw. Nobody can admit us to it;
+			// have it dropped from the tree and ask again.
+			err = a.dropStaleLeaf(pl.Leaf, attempt)
+			if err == nil {
+				err = fmt.Errorf("large group %q: placed in stale leaf %v: %w", a.name, pl.Leaf, types.ErrNoSuchGroup)
 			}
+			continue
+		}
+		if newLeaf, err = a.enterLeaf(pl.Leaf, pl.Create, pl.Contacts); err == nil {
+			d.Leaf = pl.Leaf
 		}
 	}
 	_ = a.stackNode().Call(func() {
@@ -997,6 +1037,54 @@ func (a *Agent) relocate(oldLeaf *group.Group, d directive) {
 		a.snapLeaf = newLeaf
 		a.mu.Unlock()
 	}
+}
+
+// enterLeaf founds or joins one leaf group, bounded by one OpTimeout.
+func (a *Agent) enterLeaf(id types.GroupID, create bool, contacts []types.ProcessID) (*group.Group, error) {
+	if create {
+		return a.host.stack.Create(id, a.leafGroupConfig(id))
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), a.cfg.OpTimeout)
+	defer cancel()
+	return a.joinLeaf(ctx, id, contacts)
+}
+
+// placeAgain asks one of the known leader contacts (rotating by attempt) for
+// a fresh placement, bounded by one OpTimeout.
+func (a *Agent) placeAgain(attempt int) (placement, error) {
+	contacts := a.LeaderContacts()
+	if len(contacts) == 0 {
+		return placement{}, fmt.Errorf("large group %q: no leader contact: %w", a.name, types.ErrNoSuchGroup)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), a.cfg.OpTimeout)
+	defer cancel()
+	return a.requestPlacement(ctx, contacts[attempt%len(contacts)])
+}
+
+// dropStaleLeaf asks the leader (via one of the known contacts, rotating by
+// attempt) to remove a leaf from the tree. A leaf that is in fact alive is
+// re-added by its coordinator's next periodic report.
+func (a *Agent) dropStaleLeaf(id types.GroupID, attempt int) error {
+	contacts := a.LeaderContacts()
+	if len(contacts) == 0 {
+		return fmt.Errorf("large group %q: no leader contact: %w", a.name, types.ErrNoSuchGroup)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), a.cfg.OpTimeout)
+	defer cancel()
+	_, err := a.stackNode().Request(ctx, contacts[attempt%len(contacts)], &types.Message{
+		Kind:    types.KindHLeafFailed,
+		Group:   types.BranchGroup(a.name),
+		Payload: encodeGroupID(nil, id),
+	})
+	return err
+}
+
+// open reports whether the agent is still part of the large group and its
+// process is running.
+func (a *Agent) open() bool {
+	open := false
+	_ = a.stackNode().Call(func() { open = !a.closed })
+	return open
 }
 
 func minInt(a, b int) int {

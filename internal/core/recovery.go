@@ -50,16 +50,35 @@ const leaderRefreshTicks = 8
 // the tree lets the floor jump past records the mover has not received, and
 // once every buffer prunes to the new floor no NAK or state transfer can
 // repair it. The pin is dropped when the mover lands in its destination leaf
-// (its leaf report names it) or after a grace period (a mover that crashed
-// in flight must not wedge the floor forever).
+// (a report from a leaf other than the one it was moved out of names it) or
+// after a grace period (a mover that crashed in flight must not wedge the
+// floor forever).
 type moverMark struct {
 	water  uint64
-	expire uint64 // recovery tick after which the pin lapses
+	from   types.GroupID // the leaf the mover was directed out of
+	expire uint64        // recovery tick after which the pin lapses
 }
 
 // moverGraceTicks bounds how long a relocation pin can hold the floor: well
 // past one OpTimeout's worth of join retries at the default tick interval.
 const moverGraceTicks = 256
+
+// landRepairBudget caps how many buffered records one landing mover is sent.
+const landRepairBudget = 256
+
+// moverGrace is how many recovery ticks a relocation pin lasts: at least
+// moverGraceTicks, and at least four OpTimeouts' worth of ticks — a move can
+// spend one OpTimeout leaving, one joining the directed leaf, and more on a
+// fresh placement and join when the directed leaf is gone.
+func (a *Agent) moverGrace() uint64 {
+	grace := uint64(moverGraceTicks)
+	if a.cfg.RecoveryInterval > 0 {
+		if t := uint64(4 * a.cfg.OpTimeout / a.cfg.RecoveryInterval); t > grace {
+			grace = t
+		}
+	}
+	return grace
+}
 
 // recordKey identifies one broadcast record across arrival paths.
 type recordKey struct {
@@ -154,7 +173,30 @@ func (a *Agent) pinMovers(from types.GroupID, movers []types.ProcessID) {
 		if p == a.stackNode().PID() {
 			continue // our own tracker already holds the floor via SetFloor's clamp
 		}
-		a.moverWater[p] = moverMark{water: water, expire: a.recoveryTicks + moverGraceTicks}
+		a.moverWater[p] = moverMark{water: water, from: from, expire: a.recoveryTicks + a.moverGrace()}
+	}
+}
+
+// repairLanded sends a mover that just landed in a leaf the initiator's
+// buffered records above the mover's pinned watermark, as NAK repairs: a
+// mover that founded a fresh leaf got no leaf state transfer, and records
+// broadcast while it was between leaves form a trailing gap it cannot detect
+// on its own. Receivers dedup, so a lander that did get them loses nothing.
+func (a *Agent) repairLanded(p types.ProcessID, water uint64) {
+	self := a.stackNode().PID()
+	if p == self {
+		return
+	}
+	ctg := a.trk.Ctg(self)
+	if ctg <= water {
+		return
+	}
+	for _, held := range a.trk.Retrieve(reliability.SeqRange{Sender: self, Lo: water + 1, Hi: ctg}, landRepairBudget) {
+		out := held.Clone()
+		out.Corr = 0
+		if err := a.stackNode().Send(p, out); err != nil {
+			return
+		}
 	}
 }
 
@@ -174,6 +216,9 @@ func (a *Agent) onRecoveryTick() {
 		return
 	}
 	a.recoveryTicks++
+	if a.pendingMove != nil && !a.moving {
+		a.startMove(*a.pendingMove)
+	}
 	a.retryPendingStages()
 	a.nakGaps()
 

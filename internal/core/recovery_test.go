@@ -10,6 +10,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/fdetect"
+	"repro/internal/group"
 	"repro/internal/netsim"
 	"repro/internal/types"
 )
@@ -391,5 +392,72 @@ func TestClientRequestFailsOverFromDeadServer(t *testing.T) {
 	}
 	if s := client.CachedServer(); s == victimPID {
 		t.Error("client still bound to the dead server")
+	}
+}
+
+// TestIdleLeaderGroupStopsReplicating pins that tree replication is driven by
+// change, not by the clock: once the tree is settled, the leader coordinator's
+// periodic backstop and the leaves' periodic reports must not keep
+// multicasting an unchanged tree to the leader group. A group that never goes
+// quiet also never has a stable last view to compare, which is what the chaos
+// checkers' virtual-synchrony comparison of terminal views relies on.
+func TestIdleLeaderGroupStopsReplicating(t *testing.T) {
+	const n = 6
+	c := cluster.MustNew(n, cluster.Options{})
+	defer c.Stop()
+	log := newDeliveryLog(n)
+	_, agents := buildService(t, c, n, func(i int) core.Config {
+		cfg := recoveryCfg(3, 2, log, i)
+		cfg.LeaderSize = 3
+		return cfg
+	})
+
+	var mu sync.Mutex
+	leaderDeliveries := 0
+	leaderKey := types.LeaderGroup("svc").Key()
+	for i := 0; i < n; i++ {
+		c.Proc(i).Stack.SetObserver(group.Observer{
+			OnDeliver: func(gid types.GroupID, _ group.Delivery) {
+				if gid.Key() == leaderKey {
+					mu.Lock()
+					leaderDeliveries++
+					mu.Unlock()
+				}
+			},
+		})
+	}
+	count := func() int {
+		mu.Lock()
+		defer mu.Unlock()
+		return leaderDeliveries
+	}
+
+	// Let placement and the leaf reports settle: several leader-refresh
+	// periods (8 recovery ticks of 10ms each) with no new leader traffic.
+	deadline := time.Now().Add(5 * time.Second)
+	last, quietSince := count(), time.Now()
+	for time.Since(quietSince) < 300*time.Millisecond {
+		if time.Now().After(deadline) {
+			t.Fatalf("leader group never went quiet: %d deliveries observed", count())
+		}
+		time.Sleep(20 * time.Millisecond)
+		if now := count(); now != last {
+			last, quietSince = now, time.Now()
+		}
+	}
+	if got := agents[0].Tree().TotalMembers(); got != n {
+		t.Fatalf("tree covers %d members, want %d", got, n)
+	}
+
+	// A real change is still replicated.
+	if err := agents[n-1].Leave(ctxT(t)); err != nil {
+		t.Fatalf("leave: %v", err)
+	}
+	deadline = time.Now().Add(5 * time.Second)
+	for count() == last {
+		if time.Now().After(deadline) {
+			t.Fatal("tree change after a leave was never replicated to the leader group")
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }

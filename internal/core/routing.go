@@ -262,7 +262,14 @@ func (a *Agent) handleStage(plan *treecast.Stage, rec record, upCorr uint64, ori
 	// us or from the contact the parent tried before us). If this process
 	// has moved away from the leaf named in the plan, it still delivers to
 	// the leaf it is in now; the leader's next plan will have caught up.
+	//
+	// Our own watermark speaks for the plan's leaf only while we are in it:
+	// a representative that has left it (or is in another leaf) did not
+	// reach its members, and raising that leaf's water would let the floor
+	// prune every buffer that could still repair them. Such a stage is
+	// marked failed, so it acknowledges with a zero watermark.
 	covered := 0
+	st.failed = a.leaf == nil || a.leaf.Closed() || !a.leafID.Equal(plan.Leaf)
 	if a.leaf != nil && !a.leaf.Closed() {
 		if fresh {
 			a.leaf.CastAsync(a.cfg.Ordering, encodeLeafCast(tagBroadcast, downCorr, encodeRecord(rec)))

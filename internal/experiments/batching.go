@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/metrics"
 	"repro/internal/node"
-	"repro/internal/reliability"
 )
 
 // E9BatchingThroughput measures the broadcast hot path end to end: one
@@ -35,11 +34,11 @@ func E9BatchingThroughput(s Scale) (*metrics.Table, error) {
 	t := metrics.NewTable("E9: broadcast hot-path throughput, batched vs unbatched",
 		"members", "casts", "mode", "elapsed", "delivered msgs/sec", "frames", "msgs/frame", "speedup")
 	for _, n := range sizes {
-		base, err := runFloodLoad(n, casts, node.Batching{Disable: true}, reliability.Config{})
+		base, err := runFloodLoad(n, casts, node.Batching{Disable: true})
 		if err != nil {
 			return nil, fmt.Errorf("E9 unbatched n=%d: %w", n, err)
 		}
-		batched, err := runFloodLoad(n, casts, node.Batching{}, reliability.Config{})
+		batched, err := runFloodLoad(n, casts, node.Batching{})
 		if err != nil {
 			return nil, fmt.Errorf("E9 batched n=%d: %w", n, err)
 		}

@@ -53,17 +53,13 @@ func TestE12MemberScalingSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	acks, codec, err := experiments.E12MemberScaling(experiments.Smoke)
+	table, err := experiments.E12MemberScaling(experiments.Smoke)
 	if err != nil {
 		t.Fatalf("E12 smoke: %v", err)
 	}
-	// One size, two ack modes.
-	if acks.Rows() != 2 {
-		t.Fatalf("E12 smoke ack rows = %d, want 2", acks.Rows())
-	}
-	// Two frame sizes, two codecs.
-	if codec.Rows() != 4 {
-		t.Fatalf("E12 smoke codec rows = %d, want 4", codec.Rows())
+	// One size, one row.
+	if table.Rows() != 1 {
+		t.Fatalf("E12 smoke rows = %d, want 1", table.Rows())
 	}
 }
 

@@ -10,7 +10,6 @@ import (
 	"repro/internal/group"
 	"repro/internal/netsim"
 	"repro/internal/node"
-	"repro/internal/reliability"
 	"repro/internal/types"
 )
 
@@ -23,12 +22,11 @@ type floodResult struct {
 }
 
 // runFloodLoad is the shared hot-path load harness behind E9 and E12: build
-// a flat group of n members with the given batching and reliability knobs,
-// flood casts from one member, and wait until every member has delivered
-// every cast. Keeping one implementation means the two experiments (and any
-// future one) measure identical flow control — only the knob under test
-// differs.
-func runFloodLoad(n, casts int, b node.Batching, rel reliability.Config) (floodResult, error) {
+// a flat group of n members with the given batching knobs, flood casts from
+// one member, and wait until every member has delivered every cast. Keeping
+// one implementation means the two experiments (and any future one) measure
+// identical flow control — only the knob under test differs.
+func runFloodLoad(n, casts int, b node.Batching) (floodResult, error) {
 	c, err := cluster.New(n, cluster.Options{Batching: b})
 	if err != nil {
 		return floodResult{}, err
@@ -37,10 +35,7 @@ func runFloodLoad(n, casts int, b node.Batching, rel reliability.Config) (floodR
 
 	var delivered atomic.Int64
 	gid := types.FlatGroup("flood")
-	cfg := group.Config{
-		OnDeliver:   func(group.Delivery) { delivered.Add(1) },
-		Reliability: rel,
-	}
+	cfg := group.Config{OnDeliver: func(group.Delivery) { delivered.Add(1) }}
 	groups := make([]*group.Group, n)
 	groups[0], err = c.Proc(0).Stack.Create(gid, cfg)
 	if err != nil {

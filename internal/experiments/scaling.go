@@ -1,39 +1,20 @@
 package experiments
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
-	"time"
 
 	"repro/internal/metrics"
 	"repro/internal/node"
-	"repro/internal/reliability"
-	"repro/internal/types"
-	"repro/internal/wire"
 )
 
-// E12MemberScaling measures the two costs this PR retires, as a function of
-// group size.
-//
-// The first table is the acknowledgement path: one member floods FIFO casts
-// at an n-member flat group (batching on, the default) with per-cast
-// acknowledgements — every cast answered by one KindCastAck per receiver,
-// O(n²) messages per broadcast round — versus the default cumulative mode,
-// where the piggybacked/standalone stability watermarks are the only
-// acknowledgement signal and one report covers an entire prefix of casts.
-// The table reports delivered msgs/sec, the measured ack-message volume
-// (AcksSent + StabilitySent on the fabric), acks per cast, and the
-// cumulative mode's ack-volume reduction and throughput speedup.
-//
-// The second table is the wire codec: encoding and decoding representative
-// cast frames with encoding/gob (the TCP transport's retired codec, which
-// re-transmits type metadata and walks the struct reflectively on every
-// frame) versus the internal/wire binary codec the transport now uses. It
-// reports ns and bytes per frame and the binary codec's speedups. The
-// simulated fabric carries no encoded bytes, so the codec is measured
-// directly — the same code path TCP deployments execute per frame.
-func E12MemberScaling(s Scale) (*metrics.Table, *metrics.Table, error) {
+// E12MemberScaling measures the acknowledgement path as a function of group
+// size: one member floods FIFO casts at an n-member flat group (batching on,
+// the default), where the piggybacked/standalone stability watermarks are
+// the only acknowledgement signal and one report covers an entire prefix of
+// casts. The table reports delivered msgs/sec, the measured ack-message
+// volume (StabilitySent on the fabric) and acks per cast. The retired
+// per-cast-ack and gob-codec baselines are recorded in BENCH_scaling.json.
+func E12MemberScaling(s Scale) (*metrics.Table, error) {
 	sizes := []int{8, 16}
 	casts := 3000
 	switch s {
@@ -44,166 +25,15 @@ func E12MemberScaling(s Scale) (*metrics.Table, *metrics.Table, error) {
 		sizes = []int{8}
 		casts = 800
 	}
-	acks := metrics.NewTable("E12: member scaling, cumulative watermark acks vs per-cast acks",
-		"members", "casts", "ack mode", "elapsed", "delivered msgs/sec", "ack msgs", "acks/cast", "ack reduction", "speedup")
+	t := metrics.NewTable("E12: member scaling, cumulative watermark acks",
+		"members", "casts", "elapsed", "delivered msgs/sec", "ack msgs", "acks/cast")
 	for _, n := range sizes {
-		perCast, err := runScalingLoad(n, casts, true)
+		r, err := runFloodLoad(n, casts, node.Batching{})
 		if err != nil {
-			return nil, nil, fmt.Errorf("E12 per-cast n=%d: %w", n, err)
+			return nil, fmt.Errorf("E12 n=%d: %w", n, err)
 		}
-		cum, err := runScalingLoad(n, casts, false)
-		if err != nil {
-			return nil, nil, fmt.Errorf("E12 cumulative n=%d: %w", n, err)
-		}
-		acks.AddRow(n, casts, "per-cast", perCast.elapsed, perCast.rate, ackMsgs(perCast),
-			float64(ackMsgs(perCast))/float64(casts), "", "")
-		acks.AddRow(n, casts, "cumulative", cum.elapsed, cum.rate, ackMsgs(cum),
-			float64(ackMsgs(cum))/float64(casts),
-			float64(ackMsgs(perCast))/float64(max(ackMsgs(cum), 1)), cum.rate/perCast.rate)
-	}
-
-	codec, err := codecTable(s)
-	if err != nil {
-		return nil, nil, err
-	}
-	return acks, codec, nil
-}
-
-// runScalingLoad runs the shared flood harness (runFloodLoad, also behind
-// E9) with the requested acknowledgement mode — the knob under test here is
-// the ack path, not the framing, so batching stays at its default.
-func runScalingLoad(n, casts int, perCastAck bool) (floodResult, error) {
-	return runFloodLoad(n, casts, node.Batching{}, reliability.Config{PerCastAck: perCastAck})
-}
-
-// ackMsgs is a round's acknowledgement volume: legacy per-cast acks plus
-// cumulative stability reports.
-func ackMsgs(r floodResult) uint64 { return r.stats.AcksSent + r.stats.StabilitySent }
-
-// gobFrame mirrors the wire frame the TCP transport encoded with gob before
-// the binary codec replaced it; the codec comparison reproduces exactly that
-// encoding as the baseline.
-type gobFrame struct {
-	Msgs      []types.Message
-	HelloFrom types.ProcessID
-	HelloAddr string
-}
-
-// codecTable measures gob vs the binary wire codec on representative cast
-// frames. Iteration counts shrink with frame size so every row costs a
-// similar (sub-second) amount of wall clock.
-func codecTable(s Scale) (*metrics.Table, error) {
-	t := metrics.NewTable("E12: wire codec, gob vs binary, per cast frame",
-		"frame msgs", "codec", "encode ns/frame", "decode ns/frame", "bytes/frame", "encode speedup", "decode speedup", "bytes ratio")
-	frameSizes := []int{1, 64}
-	if s == Full {
-		frameSizes = []int{1, 64, 256}
-	}
-	for _, size := range frameSizes {
-		iters := 100000 / size
-		if s != Full {
-			iters /= 4
-		}
-		if iters < 50 {
-			iters = 50
-		}
-		msgs := make([]*types.Message, size)
-		for i := range msgs {
-			msgs[i] = &types.Message{
-				Kind:     types.KindCast,
-				From:     types.ProcessID{Site: 1, Incarnation: 1},
-				To:       types.ProcessID{Site: 2, Incarnation: 1},
-				Group:    types.FlatGroup("e12-scale"),
-				View:     3,
-				ID:       types.MsgID{Sender: types.ProcessID{Site: 1, Incarnation: 1}, Seq: uint64(i + 1)},
-				Ordering: types.FIFO,
-				Payload:  []byte("member-scaling-payload-0123456789abcdef"),
-				Stab: []types.StabEntry{
-					{Sender: types.ProcessID{Site: 1, Incarnation: 1}, Seq: uint64(i)},
-					{Sender: types.ProcessID{Site: 2, Incarnation: 1}, Seq: uint64(i / 2)},
-				},
-				StabOrd: uint64(i),
-			}
-		}
-
-		gobEnc, gobDec, gobBytes, err := measureGob(msgs, iters)
-		if err != nil {
-			return nil, fmt.Errorf("E12 codec gob size=%d: %w", size, err)
-		}
-		binEnc, binDec, binBytes, err := measureBinary(msgs, iters)
-		if err != nil {
-			return nil, fmt.Errorf("E12 codec binary size=%d: %w", size, err)
-		}
-		t.AddRow(size, "gob", gobEnc, gobDec, gobBytes, "", "", "")
-		t.AddRow(size, "binary", binEnc, binDec, binBytes,
-			float64(gobEnc)/float64(binEnc), float64(gobDec)/float64(binDec), float64(gobBytes)/float64(binBytes))
+		acks := r.stats.StabilitySent
+		t.AddRow(n, casts, r.elapsed, r.rate, acks, float64(acks)/float64(casts))
 	}
 	return t, nil
-}
-
-// measureGob times the retired TCP encoding: a fresh gob encoder per
-// connection would amortize type metadata, so — like the old transport — one
-// persistent encoder/decoder pair runs the whole stream, which is gob at its
-// best. Returns ns/frame for encode and decode plus the steady-state frame
-// size in bytes.
-func measureGob(msgs []*types.Message, iters int) (encNS, decNS int64, frameBytes int, err error) {
-	wf := gobFrame{Msgs: make([]types.Message, len(msgs))}
-	for i, m := range msgs {
-		wf.Msgs[i] = *m
-	}
-	var stream bytes.Buffer
-	enc := gob.NewEncoder(&stream)
-	// Warm the encoder so the type-descriptor transmission is not billed.
-	if err := enc.Encode(&wf); err != nil {
-		return 0, 0, 0, err
-	}
-	warmLen := stream.Len()
-	start := time.Now()
-	for i := 0; i < iters; i++ {
-		if err := enc.Encode(&wf); err != nil {
-			return 0, 0, 0, err
-		}
-	}
-	encNS = time.Since(start).Nanoseconds() / int64(iters)
-	frameBytes = (stream.Len() - warmLen) / iters
-
-	dec := gob.NewDecoder(&stream)
-	var out gobFrame
-	if err := dec.Decode(&out); err != nil { // warm decode (type descriptors)
-		return 0, 0, 0, err
-	}
-	start = time.Now()
-	for i := 0; i < iters; i++ {
-		var out gobFrame
-		if err := dec.Decode(&out); err != nil {
-			return 0, 0, 0, err
-		}
-	}
-	decNS = time.Since(start).Nanoseconds() / int64(iters)
-	return encNS, decNS, frameBytes, nil
-}
-
-// measureBinary times the internal/wire codec exactly as the TCP transport
-// runs it: encode appends into a reused scratch buffer, decode goes through
-// a connection-scoped Decoder's DecodeOwned — fresh caller-owned messages
-// per frame (they outlive the read buffer on the real receive path) with
-// the group names interned across frames.
-func measureBinary(msgs []*types.Message, iters int) (encNS, decNS int64, frameBytes int, err error) {
-	buf := wire.AppendFrame(nil, msgs, types.ProcessID{}, "")
-	frameBytes = len(buf)
-	start := time.Now()
-	for i := 0; i < iters; i++ {
-		buf = wire.AppendFrame(buf[:0], msgs, types.ProcessID{}, "")
-	}
-	encNS = time.Since(start).Nanoseconds() / int64(iters)
-
-	var dec wire.Decoder
-	start = time.Now()
-	for i := 0; i < iters; i++ {
-		if _, err := dec.DecodeOwned(buf); err != nil {
-			return 0, 0, 0, err
-		}
-	}
-	decNS = time.Since(start).Nanoseconds() / int64(iters)
-	return encNS, decNS, frameBytes, nil
 }

@@ -27,10 +27,8 @@ type Group struct {
 	wedged bool
 
 	// Sender-side state. acks tracks blocking casts still waiting for their
-	// resiliency quorum. With cumulative acknowledgements (the default) it is
-	// keyed by the cast's own send sequence and resolved from the members'
-	// receive-watermark reports; in the legacy per-cast-ack mode (the E12
-	// baseline) it is keyed by correlation id and resolved by KindCastAck.
+	// resiliency quorum, keyed by the cast's own send sequence and resolved
+	// from the members' cumulative receive-watermark reports.
 	sendSeq uint64
 	acks    map[uint64]*ackWaiter
 
@@ -107,9 +105,10 @@ type Group struct {
 	viewSubs map[*eventSub[member.View]]struct{}
 	delSubs  map[*eventSub[Delivery]]struct{}
 
-	snapMu     sync.Mutex
-	snap       member.View
-	closedSnap bool
+	snapMu       sync.Mutex
+	snap         member.View
+	closedSnap   bool
+	awaitingSnap bool
 }
 
 // ackWaiter tracks one cast's resiliency acknowledgements. Ackers are
@@ -198,6 +197,23 @@ func (g *Group) Closed() bool {
 // Left returns a channel closed once this process has left the group.
 func (g *Group) Left() <-chan struct{} { return g.leftC }
 
+// AwaitingState reports whether this member joined with a state handler and
+// is still waiting for its checkpoint (holding deliveries until the restore
+// or the StateGrace fallback). Safe from any goroutine.
+func (g *Group) AwaitingState() bool {
+	g.snapMu.Lock()
+	defer g.snapMu.Unlock()
+	return g.awaitingSnap
+}
+
+// setAwaitingState updates the joiner's transfer phase and its snapshot.
+func (g *Group) setAwaitingState(v bool) {
+	g.awaitingState = v
+	g.snapMu.Lock()
+	g.awaitingSnap = v
+	g.snapMu.Unlock()
+}
+
 // --- lifecycle ---------------------------------------------------------------
 
 // install applies a new view on the actor goroutine. The cut (nil only for
@@ -212,33 +228,30 @@ func (g *Group) install(v member.View, cut map[types.ProcessID]uint64) {
 		fmt.Printf("[views] %v installs %v (was %v)\n", self, v, g.view)
 	}
 
-	// With cumulative acknowledgements, the install settles every waiter
-	// still pending from the closing view, judged against the delivery cut:
-	// a cast at or below the cut's entry for this sender is held (and
-	// delivered) by every survivor that honoured the cut — view agreement
-	// now guarantees what the per-member quorum was waiting to observe — so
-	// its waiter resolves with success. A cast ABOVE the cut got no such
-	// guarantee (the sender's flush acknowledgement was never collected:
-	// lost propose plus suspicion mid-flush, or a skipped install whose cut
-	// describes a later view), and its per-view report state is about to be
-	// discarded, so its waiter fails like the timeout the retired per-cast
-	// path would have produced. (A sender that did not survive never
-	// reaches this path: removal goes through markLeft, which fails the
+	// The install settles every resiliency waiter still pending from the
+	// closing view, judged against the delivery cut: a cast at or below the
+	// cut's entry for this sender is held (and delivered) by every survivor
+	// that honoured the cut — view agreement now guarantees what the
+	// per-member quorum was waiting to observe — so its waiter resolves with
+	// success. A cast ABOVE the cut got no such guarantee (the sender's
+	// flush acknowledgement was never collected: lost propose plus suspicion
+	// mid-flush, or a skipped install whose cut describes a later view), and
+	// its per-view report state is about to be discarded, so its waiter
+	// fails with a timeout. (A sender that did not survive never reaches
+	// this path: removal goes through markLeft, which fails the
 	// waiters with ErrNotMember.) Success still inherits the InstallGrace
 	// escape hatch's weakening exactly as set agreement itself does: a
 	// member that timed out waiting for the cut installed without some
 	// casts, and the sender cannot observe that remotely.
-	if !g.cfg.Reliability.PerCastAck {
-		for seq, w := range g.acks {
-			delete(g.acks, seq)
-			var res error
-			if seq > cut[self] {
-				res = fmt.Errorf("cast %d to %s: view changed before the quorum formed: %w", seq, g.id, types.ErrTimeout)
-			}
-			select {
-			case w.done <- res:
-			default:
-			}
+	for seq, w := range g.acks {
+		delete(g.acks, seq)
+		var res error
+		if seq > cut[self] {
+			res = fmt.Errorf("cast %d to %s: view changed before the quorum formed: %w", seq, g.id, types.ErrTimeout)
+		}
+		select {
+		case w.done <- res:
+		default:
 		}
 	}
 
@@ -338,7 +351,7 @@ func (g *Group) markLeft() {
 	}
 	g.cancelFlushRetry()
 	g.closeWAL()
-	g.awaitingState = false
+	g.setAwaitingState(false)
 	g.xfer, g.ckpt, g.held, g.earlyState, g.pendingOffers = nil, nil, nil, nil, nil
 	g.dropSubscribers()
 	g.snapMu.Lock()
@@ -569,10 +582,8 @@ func (g *Group) flushForward(proposed member.View) {
 	}
 	for _, m := range g.rel.Unstable() {
 		c := m.Clone()
-		// Forwarded copies must not re-trigger resiliency acknowledgements
-		// under the forwarder's correlation space, and must not replay the
-		// original sender's stale stability report as the forwarder's own.
-		c.Corr = 0
+		// Forwarded copies must not replay the original sender's stale
+		// stability report as the forwarder's own.
 		c.Stab, c.StabOrd = nil, 0
 		g.stack.node.SendCopies(dests, c)
 		g.relStats.Forwarded++
@@ -944,28 +955,6 @@ func (g *Group) onViewInstall(m *types.Message) {
 	g.install(v, nil)
 }
 
-// onStateTransfer handles the legacy one-shot transfer kind (wire compat with
-// pre-chunking senders; nothing in this repository emits it anymore). It is
-// fenced: only a member still awaiting its join-time state accepts one, and
-// only for a view at or after the member's first — a delayed transfer from an
-// older view must not overwrite a newer restore.
-func (g *Group) onStateTransfer(m *types.Message) {
-	if g.closed || g.state == nil {
-		return
-	}
-	if !g.joined {
-		g.earlyState = append(g.earlyState, m)
-		return
-	}
-	if !g.awaitingState || g.xfer == nil || m.View < g.xfer.minView {
-		return
-	}
-	if g.xfer.locked && m.View < g.xfer.offerView {
-		return
-	}
-	g.finishStateTransfer(append([]byte(nil), m.Payload...), m.View, true)
-}
-
 // cutSatisfied reports whether this member holds every cast the install's
 // delivery cut demands. The cut aggregates contiguous-receive watermarks, so
 // every sequence in it is held by at least one survivor and recoverable by
@@ -1057,13 +1046,6 @@ func (g *Group) castOnActor(o types.Ordering, payload []byte, done chan error) {
 		Ordering: o,
 		Payload:  payload,
 	}
-	perCast := g.cfg.Reliability.PerCastAck
-	if perCast {
-		// Legacy mode: the per-cast acknowledgements are correlated
-		// explicitly. The cumulative path needs no correlation id — the
-		// cast's identity (sender + sequence) is what watermarks cover.
-		msg.Corr = g.stack.node.NextCorr()
-	}
 	switch o {
 	case types.Causal:
 		vt := g.causal.Clock()
@@ -1088,12 +1070,7 @@ func (g *Group) castOnActor(o types.Ordering, payload []byte, done chan error) {
 		need = max
 	}
 	if need > 0 && done != nil {
-		w := &ackWaiter{need: need, from: make(map[types.ProcessID]bool, need), done: done}
-		if perCast {
-			g.acks[msg.Corr] = w
-		} else {
-			g.acks[g.sendSeq] = w
-		}
+		g.acks[g.sendSeq] = &ackWaiter{need: need, from: make(map[types.ProcessID]bool, need), done: done}
 	}
 
 	g.stack.node.SendCopies(g.view.Members, msg)
@@ -1131,7 +1108,7 @@ func (g *Group) onCast(m *types.Message) {
 		// member only, breaking set agreement; the install replays parked
 		// casts up to the cut and discards the rest.
 		g.parked = append(g.parked, m)
-		g.ackCast(m)
+		g.sendReportTo(m.ID.Sender)
 		return
 	}
 	g.processCast(m, true, true)
@@ -1148,12 +1125,12 @@ func (g *Group) processCast(m *types.Message, allowSequence, ack bool) {
 		// This receive-side filter is what lets the ordering engines prune
 		// their duplicate-suppression state to the unstable suffix.
 		if ack {
-			g.ackCast(m)
+			g.sendReportTo(m.ID.Sender)
 		}
 		return
 	}
 	if ack {
-		g.ackCast(m)
+		g.sendReportTo(m.ID.Sender)
 	}
 	// The sequencer assigns the total order for casts that need one. The
 	// Ordered check keeps an already-sequenced retransmission from being
@@ -1189,36 +1166,15 @@ func (g *Group) processCast(m *types.Message, allowSequence, ack bool) {
 	}
 }
 
-// ackCast acknowledges receipt for the sender's resiliency accounting. In
-// the default cumulative mode the acknowledgement IS a stability report: one
-// watermark vector sent to the cast's originator covers every cast of its
-// prefix at once (and duplicates re-send it, since the first report may have
-// been the casualty). The legacy per-cast mode answers with one KindCastAck
-// per message, the retired O(n²) path kept for the E12 baseline.
-func (g *Group) ackCast(m *types.Message) {
-	if !g.cfg.Reliability.PerCastAck {
-		g.sendReportTo(m.ID.Sender)
-		return
-	}
-	if m.From == g.stack.node.PID() || m.Corr == 0 {
-		return
-	}
-	_ = g.stack.node.Send(m.From, &types.Message{
-		Kind:    types.KindCastAck,
-		Group:   g.id,
-		View:    m.View,
-		Corr:    m.Corr,
-		Stab:    g.rel.StabVector(),
-		StabOrd: g.total.NextSeq(),
-	})
-}
-
 // sendReportTo sends this member's cumulative stability report (the per-
 // sender contiguous-receive watermarks plus the delivered ABCAST prefix) to
-// one peer. It is the cumulative acknowledgement: the receiver folds it into
-// its tracker, which both advances stability and resolves any resiliency
-// waiters the watermarks now cover. The report rides the batching outbox, so
-// a frame of casts is answered by (at most) one report per sender in it.
+// one peer. It is the only acknowledgement: the receiver folds it into its
+// tracker, which both advances stability and resolves any resiliency
+// waiters the watermarks now cover, so one report acknowledges a whole
+// prefix of casts. Receiving a cast (duplicates included, since the first
+// report may have been the casualty) answers its originator with one. The
+// report rides the batching outbox, so a frame of casts is answered by (at
+// most) one report per sender in it.
 func (g *Group) sendReportTo(p types.ProcessID) {
 	if p == g.stack.node.PID() || g.rel == nil {
 		return
@@ -1253,11 +1209,10 @@ func (g *Group) ingestStab(m *types.Message) {
 
 // resolveCastWaiters re-checks pending resiliency waiters against one
 // member's freshly ingested receive-watermark report: every waiting cast
-// whose sequence the report covers gains that member as an acker. This is
-// the cumulative replacement for per-cast acknowledgements — a single
+// whose sequence the report covers gains that member as an acker — a single
 // watermark entry acknowledges an entire prefix of casts at once.
 func (g *Group) resolveCastWaiters(from types.ProcessID) {
-	if g.cfg.Reliability.PerCastAck || len(g.acks) == 0 {
+	if len(g.acks) == 0 {
 		return
 	}
 	self := g.stack.node.PID()
@@ -1284,11 +1239,9 @@ func (g *Group) resolveCastWaiters(from types.ProcessID) {
 // (reliability tracking, acknowledgement, sequencing) runs in one loop, then
 // each ordering engine accepts its sub-batch and releases deliveries in one
 // pass, and the pending-install cut is rechecked once for the whole frame.
-// In the default cumulative mode a whole frame of casts is acknowledged by
-// one stability report per originator in it; the legacy per-cast mode's
-// acks (and the order announcements) coalesce in the node's outbox, so they
-// cost at most a frame rather than one transmission each. Wedged groups
-// fall back to the per-message path, which owns the parking rules.
+// A whole frame of casts is acknowledged by one stability report per
+// originator in it. Wedged groups fall back to the per-message path, which
+// owns the parking rules.
 func (g *Group) onCastBatch(ms []*types.Message) {
 	if len(ms) == 1 {
 		g.onCast(ms[0])
@@ -1304,26 +1257,17 @@ func (g *Group) onCastBatch(ms []*types.Message) {
 		return
 	}
 	self := g.stack.node.PID()
-	perCast := g.cfg.Reliability.PerCastAck
 
 	// byOrdering[o] collects the current-view casts for engine o; anything
 	// outside the known orderings is delivered directly, like onCast does.
 	var byOrdering [4][]*types.Message
 	var direct []*types.Message
-	// Cumulative mode acknowledges per sender, not per message: one
-	// stability report to each distinct originator in the frame, sent after
-	// intake so it covers the whole frame (duplicates count too — their
-	// earlier report may have been the casualty). reportTo stays tiny, so a
-	// linear membership test beats a map.
+	// Acknowledge per sender, not per message: one stability report to each
+	// distinct originator in the frame, sent after intake so it covers the
+	// whole frame (duplicates count too — their earlier report may have
+	// been the casualty). reportTo stays tiny, so a linear membership test
+	// beats a map.
 	var reportTo []types.ProcessID
-	// Legacy mode collects per-cast acknowledgements and sends them after
-	// the loop so they all carry the frame's final stability report; one
-	// backing allocation, and the append never exceeds the fixed capacity,
-	// so the pointers handed to Send stay stable.
-	var ackBlock []types.Message
-	if perCast {
-		ackBlock = make([]types.Message, 0, len(ms))
-	}
 	for _, m := range ms {
 		if !g.joined || m.View != g.view.ID {
 			if m.View > g.view.ID || !g.joined {
@@ -1335,19 +1279,7 @@ func (g *Group) onCastBatch(ms []*types.Message) {
 		}
 		g.ingestStab(m)
 		fresh := g.rel.Note(m)
-		// Acknowledge receipt (duplicates re-acknowledge: the first ack may
-		// have been the casualty).
-		if perCast {
-			if m.From != self && m.Corr != 0 {
-				ackBlock = append(ackBlock, types.Message{
-					Kind:  types.KindCastAck,
-					To:    m.From, // destination, re-stamped by Send
-					Group: g.id,
-					View:  m.View,
-					Corr:  m.Corr,
-				})
-			}
-		} else if s := m.ID.Sender; s != self && !types.ContainsProcess(reportTo, s) {
+		if s := m.ID.Sender; s != self && !types.ContainsProcess(reportTo, s) {
 			reportTo = append(reportTo, s)
 		}
 		if !fresh {
@@ -1394,41 +1326,10 @@ func (g *Group) onCastBatch(ms []*types.Message) {
 			g.deliver(d)
 		}
 	}
-	// Cumulative mode: one report per distinct originator, covering every
-	// cast of the frame at once. Legacy mode: one ack per cast, sharing one
-	// (read-only) stability report for the whole frame.
 	for _, p := range reportTo {
 		g.sendReportTo(p)
 	}
-	if len(ackBlock) > 0 {
-		stab := g.rel.StabVector()
-		ord := g.total.NextSeq()
-		for i := range ackBlock {
-			ackBlock[i].Stab = stab
-			ackBlock[i].StabOrd = ord
-			_ = g.stack.node.Send(ackBlock[i].To, &ackBlock[i])
-		}
-	}
 	g.recheckPendingInstall()
-}
-
-func (g *Group) onCastAck(m *types.Message) {
-	g.ingestStab(m)
-	w, ok := g.acks[m.Corr]
-	if !ok {
-		return
-	}
-	if w.from[m.From] {
-		return // a duplicated ack must not inflate the quorum
-	}
-	w.from[m.From] = true
-	if len(w.from) >= w.need {
-		delete(g.acks, m.Corr)
-		select {
-		case w.done <- nil:
-		default:
-		}
-	}
 }
 
 func (g *Group) onOrder(m *types.Message) {

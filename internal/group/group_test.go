@@ -12,7 +12,6 @@ import (
 	"repro/internal/group"
 	"repro/internal/member"
 	"repro/internal/netsim"
-	"repro/internal/reliability"
 	"repro/internal/types"
 )
 
@@ -329,8 +328,13 @@ func TestCastResiliencyAcks(t *testing.T) {
 	c := cluster.MustNew(4, cluster.Options{})
 	defer c.Stop()
 	groups := buildGroup(t, c, 4, func(i int) group.Config { return group.Config{Resiliency: 3} })
+	c.Fabric.ResetStats()
 	if err := groups[1].Cast(ctxT(t), types.FIFO, []byte("resilient")); err != nil {
 		t.Fatalf("cast with resiliency 3 in a 4-member group: %v", err)
+	}
+	// Cumulative watermark reports are the only acknowledgement signal.
+	if c.Fabric.Stats().PerKind[types.KindStability] == 0 {
+		t.Error("no stability reports on the wire: nothing acknowledged the cast")
 	}
 }
 
@@ -354,21 +358,18 @@ func TestStateTransferToJoiner(t *testing.T) {
 	c := cluster.MustNew(2, cluster.Options{})
 	defer c.Stop()
 	gid := types.FlatGroup("kv")
-	state := []byte("snapshot-of-application-state")
-	_, err := c.Proc(0).Stack.Create(gid, group.Config{StateProvider: func() []byte { return state }})
-	if err != nil {
+	s0 := newTestStore()
+	s0.put("snapshot-of-application-state", 7)
+	if _, err := c.Proc(0).Stack.Create(gid, group.Config{State: s0}); err != nil {
 		t.Fatal(err)
 	}
-	var mu sync.Mutex
-	var received []byte
-	_, err = c.Proc(1).Stack.Join(ctxT(t), gid, c.Proc(0).ID, group.Config{
-		StateReceiver: func(b []byte) { mu.Lock(); received = b; mu.Unlock() },
-	})
-	if err != nil {
+	s1 := newTestStore()
+	if _, err := c.Proc(1).Stack.Join(ctxT(t), gid, c.Proc(0).ID, group.Config{State: s1}); err != nil {
 		t.Fatal(err)
 	}
-	if !cluster.WaitFor(testTimeout, func() bool { mu.Lock(); defer mu.Unlock(); return string(received) == string(state) }) {
-		t.Fatalf("state transfer missing or wrong: %q", received)
+	want := s0.snapshotString()
+	if !cluster.WaitFor(testTimeout, func() bool { return s1.snapshotString() == want }) {
+		t.Fatalf("state transfer missing or wrong: %q, want %q", s1.snapshotString(), want)
 	}
 }
 
@@ -703,106 +704,48 @@ func TestCrashMidBatchUnderLossNoDupNoGap(t *testing.T) {
 }
 
 // TestResiliencyQuorumIgnoresDuplicatedAcks pins the resiliency semantics
-// under duplication injection, for both acknowledgement modes: the quorum
-// means "need distinct members hold the cast", so a network-duplicated
-// acknowledgement (a KindCastAck in legacy mode, a watermark report in the
-// default cumulative mode) from one member must not stand in for a missing
-// member. With every data-path message duplicated and one member's
-// acknowledgements dropped entirely, a resiliency-2 cast in a 3-member
-// group must time out rather than report success off one member's doubled
-// acknowledgement.
+// under duplication injection: the quorum means "need distinct members hold
+// the cast", so a network-duplicated watermark report from one member must
+// not stand in for a missing member. With every data-path message
+// duplicated and one member's reports dropped entirely, a resiliency-2 cast
+// in a 3-member group must time out rather than report success off one
+// member's doubled acknowledgement.
 func TestResiliencyQuorumIgnoresDuplicatedAcks(t *testing.T) {
-	modes := []struct {
-		name    string
-		rel     reliability.Config
-		ackKind types.Kind
-	}{
-		{"cumulative", reliability.Config{}, types.KindStability},
-		{"per-cast", reliability.Config{PerCastAck: true}, types.KindCastAck},
-	}
-	for _, mode := range modes {
-		t.Run(mode.name, func(t *testing.T) {
-			const n = 3
-			c := cluster.MustNew(n, cluster.Options{
-				Netsim: netsim.Config{DupRate: 1.0, Seed: 0xACED},
-			})
-			defer c.Stop()
-			groups := buildGroup(t, c, n, func(int) group.Config {
-				return group.Config{Resiliency: 2, Reliability: mode.rel}
-			})
-			// Silence the third member's acknowledgements — in cumulative
-			// mode its watermark reports, in legacy mode its cast acks. (Its
-			// own casts, which piggyback reports, are left alone: the sanity
-			// phase below casts from it.)
-			silenced := c.Proc(2).ID
-			c.Fabric.AddDropRule(func(p netsim.Packet) bool {
-				return p.From == silenced && p.Msg.Kind == mode.ackKind
-			})
-
-			ctx, cancel := context.WithTimeout(context.Background(), 400*time.Millisecond)
-			defer cancel()
-			err := groups[0].Cast(ctx, types.FIFO, []byte("needs-two-distinct-ackers"))
-			if !errors.Is(err, types.ErrTimeout) {
-				t.Fatalf("Cast err = %v, want timeout: only one distinct member acked (its ack was merely duplicated)", err)
-			}
-
-			// Sanity: two distinct ackers still satisfy the quorum under the
-			// same duplication — cast from the silenced member, whose own
-			// acknowledgements are the only ones the drop rule removes.
-			ctx2, cancel2 := context.WithTimeout(context.Background(), 2*time.Second)
-			defer cancel2()
-			if err := groups[2].Cast(ctx2, types.FIFO, []byte("quorum from the other two")); err != nil {
-				t.Fatalf("cast with two ackable members failed: %v", err)
-			}
+	// The subtest is named for the acknowledgement mode it exercises:
+	// cumulative watermark reports (KindStability), the only one there is.
+	t.Run("cumulative", func(t *testing.T) {
+		const n = 3
+		c := cluster.MustNew(n, cluster.Options{
+			Netsim: netsim.Config{DupRate: 1.0, Seed: 0xACED},
 		})
-	}
-}
+		defer c.Stop()
+		groups := buildGroup(t, c, n, func(int) group.Config {
+			return group.Config{Resiliency: 2}
+		})
+		// Silence the third member's watermark reports. (Its own casts, which
+		// piggyback reports, are left alone: the sanity phase below casts from
+		// it.)
+		silenced := c.Proc(2).ID
+		c.Fabric.AddDropRule(func(p netsim.Packet) bool {
+			return p.From == silenced && p.Msg.Kind == types.KindStability
+		})
 
-// TestCumulativeAckRetiresPerCastAcks pins the tentpole claim directly: with
-// the default configuration, a resilient blocking cast completes with ZERO
-// KindCastAck messages on the wire — the piggybacked/standalone stability
-// watermarks are the only acknowledgement signal — and the ack traffic for a
-// stream of casts is bounded by reports, not by casts × members.
-func TestCumulativeAckRetiresPerCastAcks(t *testing.T) {
-	const n = 4
-	c := cluster.MustNew(n, cluster.Options{})
-	defer c.Stop()
-	groups := buildGroup(t, c, n, func(int) group.Config {
-		return group.Config{Resiliency: n - 1}
-	})
-
-	for i := 0; i < 50; i++ {
-		if err := groups[0].Cast(ctxT(t), types.FIFO, []byte{byte(i)}); err != nil {
-			t.Fatalf("cast %d: %v", i, err)
+		ctx, cancel := context.WithTimeout(context.Background(), 400*time.Millisecond)
+		defer cancel()
+		err := groups[0].Cast(ctx, types.FIFO, []byte("needs-two-distinct-ackers"))
+		if !errors.Is(err, types.ErrTimeout) {
+			t.Fatalf("Cast err = %v, want timeout: only one distinct member acked (its ack was merely duplicated)", err)
 		}
-	}
-	st := c.Fabric.Stats()
-	if got := st.PerKind[types.KindCastAck]; got != 0 {
-		t.Errorf("%d KindCastAck messages on the wire, want 0 (per-cast acks are retired)", got)
-	}
-	if st.PerKind[types.KindStability] == 0 {
-		t.Error("no stability reports on the wire: nothing acknowledged the casts")
-	}
-}
 
-// TestPerCastAckModeStillWorks pins the legacy baseline the E12 experiment
-// measures against: with PerCastAck set, resilient casts complete via
-// KindCastAck exactly as before the cumulative path landed.
-func TestPerCastAckModeStillWorks(t *testing.T) {
-	const n = 3
-	c := cluster.MustNew(n, cluster.Options{})
-	defer c.Stop()
-	groups := buildGroup(t, c, n, func(int) group.Config {
-		return group.Config{Resiliency: 2, Reliability: reliability.Config{PerCastAck: true}}
-	})
-	for i := 0; i < 20; i++ {
-		if err := groups[0].Cast(ctxT(t), types.FIFO, []byte{byte(i)}); err != nil {
-			t.Fatalf("cast %d: %v", i, err)
+		// Sanity: two distinct ackers still satisfy the quorum under the same
+		// duplication — cast from the silenced member, whose own reports are
+		// the only ones the drop rule removes.
+		ctx2, cancel2 := context.WithTimeout(context.Background(), 2*time.Second)
+		defer cancel2()
+		if err := groups[2].Cast(ctx2, types.FIFO, []byte("quorum from the other two")); err != nil {
+			t.Fatalf("cast with two ackable members failed: %v", err)
 		}
-	}
-	if got := c.Fabric.Stats().PerKind[types.KindCastAck]; got == 0 {
-		t.Error("legacy mode produced no KindCastAck messages")
-	}
+	})
 }
 
 // TestCumulativeAckLostReportRecovered drops the FIRST prompt stability

@@ -63,12 +63,12 @@ func (g *Group) onRecoveryTick() {
 		return
 	}
 
-	// Resiliency repair (cumulative-ack mode): a blocking cast still waiting
-	// after a full interval re-sends itself to the members whose watermark
-	// reports have not covered it. Receivers treat the copy as a duplicate
-	// and re-send their cumulative report — which is exactly the message
-	// whose loss left the waiter stuck.
-	if !rcfg.PerCastAck && len(g.acks) > 0 {
+	// Resiliency repair: a blocking cast still waiting after a full interval
+	// re-sends itself to the members whose watermark reports have not
+	// covered it. Receivers treat the copy as a duplicate and re-send their
+	// cumulative report — which is exactly the message whose loss left the
+	// waiter stuck.
+	if len(g.acks) > 0 {
 		g.renotifyWaiters()
 	}
 
@@ -254,9 +254,8 @@ func (g *Group) renotifyWaiters() {
 			continue
 		}
 		c := held[0].Clone()
-		// Like every retransmission: no correlation, no stale piggybacked
-		// report attributed to the wrong moment.
-		c.Corr = 0
+		// Like every retransmission: no stale piggybacked report attributed
+		// to the wrong moment.
 		c.Stab, c.StabOrd = nil, 0
 		g.stack.node.SendCopies(dests, c)
 	}
@@ -290,10 +289,7 @@ func (g *Group) onNak(m *types.Message) {
 		}
 		for _, held := range tr.Retrieve(r, budget) {
 			c := held.Clone()
-			// No resiliency correlation (the retransmitter must not collect
-			// acks in its own correlation space) and no stale stability
-			// report attributed to the wrong process.
-			c.Corr = 0
+			// No stale stability report attributed to the wrong process.
 			c.Stab, c.StabOrd = nil, 0
 			_ = g.stack.node.Send(m.From, c)
 			g.relStats.NaksServed++

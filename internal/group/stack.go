@@ -52,13 +52,11 @@ func NewStack(n *node.Node, det *fdetect.Detector) *Stack {
 	n.Handle(types.KindViewPropose, s.route((*Group).onViewPropose))
 	n.Handle(types.KindViewFlushAck, s.route((*Group).onViewFlushAck))
 	n.Handle(types.KindViewInstall, s.onViewInstall)
-	n.Handle(types.KindStateTransfer, s.route((*Group).onStateTransfer))
 	n.Handle(types.KindStateOffer, s.route((*Group).onStateOffer))
 	n.Handle(types.KindStateChunk, s.route((*Group).onStateChunk))
 	n.Handle(types.KindStateNak, s.route((*Group).onStateNak))
 	n.Handle(types.KindCast, s.route((*Group).onCast))
 	n.HandleBatch(types.KindCast, s.routeCastBatch)
-	n.Handle(types.KindCastAck, s.route((*Group).onCastAck))
 	n.Handle(types.KindOrder, s.route((*Group).onOrder))
 	n.Handle(types.KindNak, s.route((*Group).onNak))
 	n.Handle(types.KindNakOrder, s.route((*Group).onNakOrder))

@@ -41,28 +41,6 @@ type StateApplier interface {
 	Apply(Delivery)
 }
 
-// funcHandler adapts the deprecated StateProvider/StateReceiver func pair to
-// the StateHandler interface. Either side may be nil (the legacy fields were
-// set one-sided: provider on existing members, receiver on joiners).
-type funcHandler struct {
-	provide func() []byte
-	receive func([]byte)
-}
-
-func (h funcHandler) Snapshot() ([]byte, error) {
-	if h.provide == nil {
-		return nil, nil
-	}
-	return h.provide(), nil
-}
-
-func (h funcHandler) Restore(b []byte) error {
-	if h.receive != nil {
-		h.receive(b)
-	}
-	return nil
-}
-
 // StateTransferStats counts the durable-state machinery's work on one group:
 // transfer traffic on both sides, restores, held-delivery accounting and WAL
 // activity.
@@ -328,7 +306,7 @@ func (g *Group) onStateNak(m *types.Message) {
 // application deliveries are held from here on, and the grace timer bounds how
 // long the group may stall stateless if no holder ever answers.
 func (g *Group) beginStateTransfer(v types.ViewID) {
-	g.awaitingState = true
+	g.setAwaitingState(true)
 	g.xfer = &stateXfer{minView: v}
 	g.stack.node.After(g.cfg.StateGrace, func() {
 		if g.awaitingState && g.xfer != nil && g.xfer.minView == v {
@@ -345,8 +323,6 @@ func (g *Group) beginStateTransfer(v types.ViewID) {
 			g.onStateOffer(m)
 		case types.KindStateChunk:
 			g.onStateChunk(m)
-		case types.KindStateTransfer:
-			g.onStateTransfer(m)
 		}
 	}
 }
@@ -469,7 +445,7 @@ func (g *Group) assembleAndRestore() {
 // point. restored=false is the grace path: no checkpoint ever arrived, the
 // member proceeds with whatever it held (exactly the pre-transfer semantics).
 func (g *Group) finishStateTransfer(data []byte, snapView types.ViewID, restored bool) {
-	g.awaitingState = false
+	g.setAwaitingState(false)
 	g.xfer = nil
 	if restored {
 		if err := g.state.Restore(data); err != nil {

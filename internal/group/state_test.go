@@ -7,7 +7,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/group"
@@ -116,48 +115,6 @@ func TestChunkedStateTransferToJoiner(t *testing.T) {
 	}
 	if st.ChunksReceived < 10 {
 		t.Errorf("ChunksReceived = %d, expected a multi-chunk transfer", st.ChunksReceived)
-	}
-}
-
-// TestStaleViewStateTransferIgnored is the regression test for the unfenced
-// legacy handler: a KindStateTransfer arriving at an already-joined member
-// (stale view, misdirected, or delayed) must not clobber its state.
-func TestStaleViewStateTransferIgnored(t *testing.T) {
-	c := cluster.MustNew(2, cluster.Options{})
-	defer c.Stop()
-	gid := types.FlatGroup("fenced")
-
-	s0 := newTestStore()
-	s0.put("genuine", 1)
-	_, err := c.Proc(0).Stack.Create(gid, group.Config{State: s0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s1 := newTestStore()
-	g1, err := c.Proc(1).Stack.Join(ctxT(t), gid, c.Proc(0).ID, group.Config{State: s1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !cluster.WaitFor(testTimeout, func() bool { return g1.StateStats().Restores == 1 }) {
-		t.Fatal("join transfer missing")
-	}
-
-	// A stale one-shot transfer claiming an old view must be dropped.
-	stale := &types.Message{
-		Kind:    types.KindStateTransfer,
-		Group:   gid,
-		View:    1,
-		Payload: []byte("bogus\x001\n"),
-	}
-	if err := c.Proc(0).Node.Send(c.Proc(1).ID, stale); err != nil {
-		t.Fatal(err)
-	}
-	// Give it ample time to arrive, then assert nothing changed.
-	if cluster.WaitFor(300*time.Millisecond, func() bool { return g1.StateStats().Restores > 1 }) {
-		t.Fatal("stale state transfer restored")
-	}
-	if got := s1.snapshotString(); got != s0.snapshotString() {
-		t.Fatalf("state clobbered by stale transfer: %q", got)
 	}
 }
 
@@ -338,38 +295,5 @@ func TestWALRecoveryAfterFullRestart(t *testing.T) {
 	}
 	if got := s2.snapshotString(); got != want {
 		t.Fatalf("recovered state differs: %d keys, want %d", s2.len(), s.len())
-	}
-}
-
-// TestLegacyFuncPairStillServed: the deprecated StateProvider/StateReceiver
-// fields ride the chunked path through the adapter (TestStateTransferToJoiner
-// covers the happy path; this one pins the stats so the adapter demonstrably
-// uses the new machinery).
-func TestLegacyFuncPairStillServed(t *testing.T) {
-	c := cluster.MustNew(2, cluster.Options{})
-	defer c.Stop()
-	gid := types.FlatGroup("legacy")
-	state := strings.Repeat("legacy-state ", 1000)
-	_, err := c.Proc(0).Stack.Create(gid, group.Config{
-		StateProvider:   func() []byte { return []byte(state) },
-		StateChunkBytes: 512,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var mu sync.Mutex
-	var got string
-	g1, err := c.Proc(1).Stack.Join(ctxT(t), gid, c.Proc(0).ID, group.Config{
-		StateReceiver:   func(b []byte) { mu.Lock(); got = string(b); mu.Unlock() },
-		StateChunkBytes: 512,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !cluster.WaitFor(testTimeout, func() bool { mu.Lock(); defer mu.Unlock(); return got == state }) {
-		t.Fatal("legacy transfer missing or wrong")
-	}
-	if st := g1.StateStats(); st.ChunksReceived < 2 {
-		t.Errorf("legacy transfer not chunked: %d chunks", st.ChunksReceived)
 	}
 }

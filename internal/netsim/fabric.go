@@ -39,11 +39,11 @@ type Config struct {
 	// dropped. The in-memory transport is reliable when LossRate is zero.
 	LossRate float64
 	// DupRate is the probability in [0,1) that a multicast data-path
-	// message (cast, cast ack, order announcement) is delivered twice,
-	// modelling a network-level duplicate. Protocol messages are never
-	// duplicated: the membership and RPC layers assume at-most-once links,
-	// while the ordering engines are required to tolerate duplicates — the
-	// chaos harness injects them to prove it.
+	// message (cast, stability report, order announcement) is delivered
+	// twice, modelling a network-level duplicate. Protocol messages are
+	// never duplicated: the membership and RPC layers assume at-most-once
+	// links, while the ordering engines are required to tolerate duplicates
+	// — the chaos harness injects them to prove it.
 	DupRate float64
 	// ReorderRate is the probability in [0,1) that a multicast data-path
 	// message is pulled out of its frame and delivered late (after up to
@@ -198,13 +198,10 @@ type Stats struct {
 	MessagesReordered uint64
 	// BytesSent is the total wire size of all send attempts.
 	BytesSent uint64
-	// AcksSent counts per-cast acknowledgement messages (KindCastAck, the
-	// legacy resiliency path) and StabilitySent counts cumulative watermark
-	// reports (KindStability). Together they are a run's acknowledgement
-	// overhead — the quantity the E12 member-scaling experiment reports the
-	// reduction of. Both are also present in PerKind; the dedicated counters
-	// exist so experiments read them without map lookups on a hot path.
-	AcksSent      uint64
+	// StabilitySent counts cumulative watermark reports (KindStability), a
+	// run's acknowledgement overhead — the quantity the E12 member-scaling
+	// experiment reports per cast. It is also present in PerKind; the
+	// dedicated counter lets experiments read it without a map lookup.
 	StabilitySent uint64
 	// PerKind breaks MessagesSent down by protocol message kind.
 	PerKind map[types.Kind]uint64
@@ -467,10 +464,7 @@ func (f *Fabric) SendBatch(msgs []*types.Message) error {
 	var kindN uint64
 	addKindRun := func() {
 		f.stats.PerKind[kindRun] += kindN
-		switch kindRun {
-		case types.KindCastAck:
-			f.stats.AcksSent += kindN
-		case types.KindStability:
+		if kindRun == types.KindStability {
 			f.stats.StabilitySent += kindN
 		}
 	}
@@ -533,18 +527,18 @@ func (f *Fabric) SendBatch(msgs []*types.Message) error {
 		f.stats.MessagesDropped += uint64(len(msgs))
 	}
 	// Duplication and reordering apply per message, to the multicast data
-	// path only (casts, cast acks, order announcements): the ordering
-	// engines must tolerate both, while the membership and RPC protocols
-	// assume per-pair FIFO at-most-once links. A duplicated message is
-	// delivered a second time in its own frame; a reordered message is
-	// pulled out of the frame and delivered late.
+	// path only (types.Kind.DataPath): the ordering engines must tolerate
+	// both, while the membership and RPC protocols assume per-pair FIFO
+	// at-most-once links. A duplicated message is delivered a second time
+	// in its own frame; a reordered message is pulled out of the frame and
+	// delivered late.
 	var dups []*types.Message
 	var delayed []*types.Message
 	var delayedBy []time.Duration
 	if dropErr == nil && len(kept) > 0 && (f.cfg.DupRate > 0 || f.cfg.ReorderRate > 0) {
 		filtered := make([]*types.Message, 0, len(kept))
 		for _, m := range kept {
-			if !dataPathKind(m.Kind) {
+			if !m.Kind.DataPath() {
 				filtered = append(filtered, m)
 				continue
 			}
@@ -599,17 +593,6 @@ func (f *Fabric) SendBatch(msgs []*types.Message) error {
 	return nil
 }
 
-// dataPathKind reports whether a message kind belongs to the multicast data
-// path, the only traffic duplication and reordering injection applies to.
-// It mirrors the node outbox's batchable set.
-func dataPathKind(k types.Kind) bool {
-	switch k {
-	case types.KindCast, types.KindCastAck, types.KindOrder, types.KindStability:
-		return true
-	}
-	return false
-}
-
 // transmit clones one frame and delivers it into dst's queue after delay.
 // Cloning at send time means the receiver can never observe sender-side
 // mutation, and the caller's batch slice is free for reuse the moment
@@ -648,7 +631,6 @@ func (f *Fabric) Stats() Stats {
 		MessagesDuplicated: f.stats.MessagesDuplicated,
 		MessagesReordered:  f.stats.MessagesReordered,
 		BytesSent:          f.stats.BytesSent,
-		AcksSent:           f.stats.AcksSent,
 		StabilitySent:      f.stats.StabilitySent,
 		PerKind:            make(map[types.Kind]uint64, len(f.stats.PerKind)),
 		PerSender:          make(map[types.ProcessID]uint64, len(f.stats.PerSender)),

@@ -14,12 +14,11 @@
 //
 // # Batching and pipelining
 //
-// Outbound multicast traffic (casts, stability reports, ABCAST order
-// announcements, legacy cast acks)
-// is coalesced by a per-destination outbox: sends enqueue, and the pending
-// queues are flushed as transport batch frames when the actor runs out of
-// queued work, when a queue reaches Batching.MaxBatch, or at the latest
-// after Batching.Window. Because the flush-on-idle path runs before the
+// Outbound multicast traffic (casts, stability reports and ABCAST order
+// announcements) is coalesced by a per-destination outbox: sends enqueue,
+// and the pending queues are flushed as transport batch frames when the
+// actor runs out of queued work, when a queue reaches Batching.MaxBatch,
+// or at the latest after Batching.Window. Because the flush-on-idle path runs before the
 // actor blocks, batching adds no latency when the process is idle and
 // amortizes per-send cost exactly when the process is busy. Error-sensitive
 // kinds (RPC, membership, heartbeats, hierarchy management) keep the
@@ -293,17 +292,16 @@ func (n *Node) Call(fn func()) error {
 // Send fills in the sender and transmits msg. It may be called from any
 // goroutine, including handlers.
 //
-// Hot-path multicast kinds (casts, stability reports, order announcements,
-// legacy cast acks) are
-// coalesced through the outbox and flushed as batch frames; their transport
-// errors surface asynchronously, like loss on a real network. All other
-// kinds are transmitted synchronously, after flushing anything the outbox
-// holds for the same destination so per-destination FIFO order is kept.
+// Hot-path multicast kinds (types.Kind.DataPath) are coalesced through the
+// outbox and flushed as batch frames; their transport errors surface
+// asynchronously, like loss on a real network. All other kinds are
+// transmitted synchronously, after flushing anything the outbox holds for
+// the same destination so per-destination FIFO order is kept.
 func (n *Node) Send(to types.ProcessID, msg *types.Message) error {
 	msg.From = n.pid
 	msg.To = to
 	if n.ob != nil {
-		if batchable(msg.Kind) {
+		if msg.Kind.DataPath() {
 			return n.ob.enqueue(msg)
 		}
 		n.ob.flushDest(to)

@@ -9,10 +9,9 @@ import (
 )
 
 // Batching configures the sender-side outbox that coalesces hot-path
-// multicast traffic (KindCast, KindOrder, KindStability and — in the
-// legacy per-cast-ack mode — KindCastAck) into batch frames. The zero
-// value selects the defaults; set Disable to get the historical
-// one-frame-per-message behaviour.
+// multicast traffic (the kinds types.Kind.DataPath names) into batch
+// frames. The zero value selects the defaults; set Disable to get the
+// historical one-frame-per-message behaviour.
 type Batching struct {
 	// MaxBatch caps how many messages one flushed frame may carry. A queue
 	// reaching the cap is flushed immediately. Zero selects 256.
@@ -42,24 +41,6 @@ func (b Batching) withDefaults() Batching {
 		b.Window = 2 * time.Millisecond
 	}
 	return b
-}
-
-// batchable reports whether a message kind rides the coalescing outbox.
-// Only the multicast data path qualifies: casts, stability reports (the
-// cumulative acknowledgements), legacy per-cast acknowledgements and
-// ABCAST order announcements are fire-and-forget
-// (protocols recover from their loss via acks, NAKs, retries and failure
-// detection), so reporting their transport errors asynchronously is safe.
-// Everything else — RPC, membership, state transfer, heartbeats, hierarchy
-// management — keeps the synchronous direct path because callers act on its
-// errors (contact fallback in tree broadcast and leaf reports, dial errors
-// on TCP).
-func batchable(k types.Kind) bool {
-	switch k {
-	case types.KindCast, types.KindCastAck, types.KindOrder, types.KindStability:
-		return true
-	}
-	return false
 }
 
 // outbox accumulates outbound messages per destination and flushes them as

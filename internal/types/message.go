@@ -19,9 +19,9 @@ const (
 	KindReply   // RPC reply
 
 	// Group multicast data path.
-	KindCast    // ordered multicast payload (FIFO/causal/total per header)
-	KindCastAck // legacy per-cast acknowledgement (PerCastAck mode only; cumulative watermarks replaced it)
-	KindOrder   // sequencer order announcement for ABCAST
+	KindCast  // ordered multicast payload (FIFO/causal/total per header)
+	_         // retired per-cast acknowledgement; the slot keeps later values stable on disk and wire
+	KindOrder // sequencer order announcement for ABCAST
 
 	// Failure detection.
 	KindHeartbeat
@@ -33,7 +33,7 @@ const (
 	KindViewPropose
 	KindViewFlushAck
 	KindViewInstall
-	KindStateTransfer
+	KindWALSnapshot // write-ahead log checkpoint record tag (never sent)
 
 	// Hierarchical group management.
 	KindHJoinRequest   // ask the leader group to place a process in a leaf
@@ -83,11 +83,11 @@ const (
 func (k Kind) String() string {
 	names := map[Kind]string{
 		KindInvalid: "invalid", KindRequest: "request", KindReply: "reply",
-		KindCast: "cast", KindCastAck: "cast-ack", KindOrder: "order",
+		KindCast: "cast", KindOrder: "order",
 		KindHeartbeat: "heartbeat", KindHeartbeatAck: "heartbeat-ack",
 		KindJoinRequest: "join", KindLeaveRequest: "leave",
 		KindViewPropose: "view-propose", KindViewFlushAck: "view-flush-ack",
-		KindViewInstall: "view-install", KindStateTransfer: "state-transfer",
+		KindViewInstall: "view-install", KindWALSnapshot: "wal-snapshot",
 		KindHJoinRequest: "hjoin", KindHJoinRedirect: "hjoin-redirect",
 		KindHLeafReport: "hleaf-report", KindHLeafFailed: "hleaf-failed",
 		KindHSplit: "hsplit", KindHMerge: "hmerge", KindHViewUpdate: "hview-update",
@@ -108,6 +108,19 @@ func (k Kind) String() string {
 		return s
 	}
 	return fmt.Sprintf("kind(%d)", uint16(k))
+}
+
+// DataPath reports whether a kind belongs to the multicast data path: casts,
+// ABCAST order announcements and stability reports (the cumulative
+// acknowledgements). These are fire-and-forget — protocols recover their
+// loss through NAKs, retries and failure detection — so the node outbox
+// coalesces them into batch frames and reports their transport errors
+// asynchronously, and the simulated fabric limits duplication and
+// reordering injection to them. Every other kind (RPC, membership, state
+// transfer, heartbeats, hierarchy management) is sent synchronously because
+// callers act on its errors.
+func (k Kind) DataPath() bool {
+	return k == KindCast || k == KindOrder || k == KindStability
 }
 
 // Ordering selects the delivery-order guarantee requested for a multicast,

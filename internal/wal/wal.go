@@ -7,7 +7,7 @@
 // The log is deliberately simple:
 //
 //   - records are [u32 length][wire frame of one message]. A snapshot record
-//     is a KindStateTransfer message whose View is the checkpoint's view and
+//     is a KindWALSnapshot message whose View is the checkpoint's view and
 //     whose payload is the application snapshot; a delivery record is a
 //     KindCast message carrying the delivered cast's identity, ordering,
 //     agreed sequence and payload.
@@ -122,7 +122,7 @@ func replay(f *os.File) (Recovered, int64, int64, error) {
 		m := fr.Msgs[0]
 		good += 4 + int64(n)
 		switch m.Kind {
-		case types.KindStateTransfer:
+		case types.KindWALSnapshot:
 			rec.Snapshot = m
 			rec.Deliveries = rec.Deliveries[:0]
 			snapEnd = good
@@ -157,7 +157,7 @@ func (l *Log) AppendSnapshot(view types.ViewID, data []byte) error {
 	if err != nil {
 		return fmt.Errorf("wal: compact %s: %w", l.path, err)
 	}
-	m := &types.Message{Kind: types.KindStateTransfer, View: view, Payload: data}
+	m := &types.Message{Kind: types.KindWALSnapshot, View: view, Payload: data}
 	buf := append(make([]byte, 0, len(data)+64), 0, 0, 0, 0)
 	buf = wire.AppendFrame(buf, []*types.Message{m}, types.ProcessID{}, "")
 	binary.BigEndian.PutUint32(buf[:4], uint32(len(buf)-4))

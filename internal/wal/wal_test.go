@@ -188,3 +188,56 @@ func TestResetDiscardsContent(t *testing.T) {
 		t.Fatalf("reset did not discard stale records: %+v", rec.Deliveries)
 	}
 }
+
+// walGolden is a log written by an earlier build, while the snapshot tag
+// still doubled as the one-shot state-transfer kind: one snapshot record
+// (view 7, payload "snap") followed by delivery(1, "a") and delivery(2, "b").
+// Each record's kind is the big-endian u16 after its length prefix and
+// three-byte frame header — 0x000d (13) for the snapshot, 0x0003 for the
+// casts — so the test pins both on-disk values.
+var walGolden = []byte{
+	0x00, 0x00, 0x00, 0x37, 0x01, 0x00, 0x01, 0x00, 0x0d, 0x10, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+	0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+	0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+	0x00, 0x00, 0x07, 0x00, 0x00, 0x00, 0x04, 0x73, 0x6e, 0x61, 0x70, 0x00, 0x00, 0x00, 0x34, 0x01,
+	0x00, 0x01, 0x00, 0x03, 0x10, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+	0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+	0x01, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x01, 0x03, 0x00, 0x00, 0x03, 0x01, 0x00,
+	0x00, 0x01, 0x61, 0x00, 0x00, 0x00, 0x34, 0x01, 0x00, 0x01, 0x00, 0x03, 0x10, 0x00, 0x00, 0x00,
+	0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+	0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00,
+	0x00, 0x02, 0x03, 0x00, 0x00, 0x03, 0x02, 0x00, 0x00, 0x01, 0x62,
+}
+
+// TestReplaysGoldenLog: a log file from an earlier build still replays to
+// the same snapshot and deliveries, so existing WAL directories survive
+// upgrades.
+func TestReplaysGoldenLog(t *testing.T) {
+	if types.KindCast != 3 || types.KindWALSnapshot != 13 {
+		t.Fatalf("on-disk kinds moved: KindCast=%d KindWALSnapshot=%d, want 3 and 13",
+			types.KindCast, types.KindWALSnapshot)
+	}
+	path := filepath.Join(t.TempDir(), "g.wal")
+	if err := os.WriteFile(path, walGolden, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	l, rec := mustOpen(t, path)
+	defer l.Close()
+	if rec.Snapshot == nil || rec.Snapshot.View != 7 || string(rec.Snapshot.Payload) != "snap" {
+		t.Fatalf("snapshot = %+v, want view 7 payload \"snap\"", rec.Snapshot)
+	}
+	want := []*types.Message{delivery(1, "a"), delivery(2, "b")}
+	if len(rec.Deliveries) != len(want) {
+		t.Fatalf("replayed %d deliveries, want %d", len(rec.Deliveries), len(want))
+	}
+	for i, m := range rec.Deliveries {
+		w := want[i]
+		if m.Kind != w.Kind || m.ID != w.ID || m.Seq != w.Seq || m.View != w.View ||
+			m.Ordering != w.Ordering || string(m.Payload) != string(w.Payload) {
+			t.Errorf("delivery %d = %+v, want %+v", i, m, w)
+		}
+	}
+	if l.Size() != int64(len(walGolden)) {
+		t.Errorf("log size %d after open, want %d (nothing truncated)", l.Size(), len(walGolden))
+	}
+}
