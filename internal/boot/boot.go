@@ -2,11 +2,11 @@
 // endpoint, node actor loop, failure detector, group stack and hierarchical
 // host — in the one canonical order every deployment uses.
 //
-// Before this package existed the same wiring was written three times (the
-// public facade, the internal cluster harness and the isis-node daemon),
-// and the copies drifted. Every way of standing up a process now goes
-// through Spawn, so the in-memory simulation and the TCP deployment run
-// literally the same bootstrap code; only the transport.Network differs.
+// The public facade (isis.Runtime) is its only caller: the experiments, the
+// internal tests, the chaos harness and the isis-node daemon all stand
+// processes up through the facade, so the in-memory simulation and the TCP
+// deployment run literally the same bootstrap code; only the
+// transport.Network differs.
 package boot
 
 import (
@@ -36,7 +36,7 @@ type Proc struct {
 // detector's suspicions feed the group stack, and the stack's views feed the
 // detector's monitored set — identical wiring over any transport. The
 // batching knobs configure the node's outbox coalescing (the zero value
-// selects the defaults; node.Batching{Disable: true} turns it off). A
+// selects the defaults). A
 // non-empty walDir makes this process's stateful groups durable: applied
 // deliveries are logged there and recovered at group Create.
 func Spawn(pid types.ProcessID, network transport.Network, det fdetect.Config, batching node.Batching, walDir string) (*Proc, error) {

@@ -38,9 +38,6 @@ func NewHost(stack *group.Stack) *Host {
 	return h
 }
 
-// Stack returns the group stack this host is bound to.
-func (h *Host) Stack() *group.Stack { return h.stack }
-
 func (h *Host) route(fn func(*Agent, *types.Message)) func(*types.Message) {
 	return func(m *types.Message) {
 		a, ok := h.agents[m.Group.Name]
@@ -53,13 +50,6 @@ func (h *Host) route(fn func(*Agent, *types.Message)) func(*types.Message) {
 		}
 		fn(a, m)
 	}
-}
-
-// Agent returns the local agent for a large group name, or nil.
-func (h *Host) Agent(name string) *Agent {
-	var a *Agent
-	_ = h.stack.Node().Call(func() { a = h.agents[name] })
-	return a
 }
 
 // Create founds a new large group: the local process becomes the first

@@ -7,7 +7,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/cluster"
+	isis "repro"
 	"repro/internal/core"
 	"repro/internal/fdetect"
 	"repro/internal/group"
@@ -106,10 +106,9 @@ func waitDelivered(t *testing.T, log *deliveryLog, members []int, payload string
 // subtree forever.
 func TestBroadcastSurvivesDeadRepresentative(t *testing.T) {
 	const n = 9
-	c := cluster.MustNew(n, cluster.Options{})
-	defer c.Stop()
+	_, procs := spawn(t, n)
 	log := newDeliveryLog(n)
-	_, agents := buildService(t, c, n, func(i int) core.Config {
+	agents := buildService(t, procs, n, func(i int) core.Config {
 		return recoveryCfg(3, 2, log, i)
 	})
 
@@ -124,7 +123,7 @@ func TestBroadcastSurvivesDeadRepresentative(t *testing.T) {
 		}
 		coord := agents[members[0]].Leaf().CurrentView().Coordinator()
 		for _, i := range members {
-			if c.Proc(i).ID == coord {
+			if procs[i].ID() == coord {
 				victim = i
 			}
 		}
@@ -135,7 +134,7 @@ func TestBroadcastSurvivesDeadRepresentative(t *testing.T) {
 	if victim < 0 {
 		t.Fatal("no victim leaf found")
 	}
-	c.Proc(victim).Node.Stop()
+	procs[victim].Stop()
 
 	covered, err := agents[0].Broadcast(ctxT(t), []byte("b1"))
 	if err != nil {
@@ -164,10 +163,9 @@ func TestBroadcastSurvivesDeadRepresentative(t *testing.T) {
 // reliability path can recover it.
 func TestTreeCastLossRepairedByNak(t *testing.T) {
 	const n = 9
-	c := cluster.MustNew(n, cluster.Options{})
-	defer c.Stop()
+	rt, procs := spawn(t, n)
 	log := newDeliveryLog(n)
-	_, agents := buildService(t, c, n, func(i int) core.Config {
+	agents := buildService(t, procs, n, func(i int) core.Config {
 		cfg := recoveryCfg(3, 2, log, i)
 		cfg.StageRetries = -1 // isolate the NAK path
 		cfg.OpTimeout = 500 * time.Millisecond
@@ -182,7 +180,7 @@ func TestTreeCastLossRepairedByNak(t *testing.T) {
 			continue
 		}
 		for _, i := range members {
-			victims[c.Proc(i).ID] = true
+			victims[procs[i].ID()] = true
 			victimIdx = append(victimIdx, i)
 		}
 		break
@@ -203,7 +201,7 @@ func TestTreeCastLossRepairedByNak(t *testing.T) {
 	// Drop every treecast stage frame addressed to the victim leaf while
 	// broadcast b2 is in flight: the whole leaf misses the record, and with
 	// retries off the loss is permanent until the NAK path repairs it.
-	remove := c.Fabric.AddDropRule(func(p netsim.Packet) bool {
+	remove := rt.Fabric().AddDropRule(func(p netsim.Packet) bool {
 		return p.Msg.Kind == types.KindTreeCast && victims[p.To]
 	})
 	if _, err := agents[0].Broadcast(ctxT(t), []byte("b2")); err != nil {
@@ -249,14 +247,11 @@ func TestTreeCastLossRepairedByNak(t *testing.T) {
 // the leaves, and keep broadcasts working.
 func TestLeaderGroupReplenishesAfterLeaderCrash(t *testing.T) {
 	const n = 9
-	c := cluster.MustNew(n, cluster.Options{
-		// Heartbeats on: the surviving leader has to *detect* the crashes
-		// before it can react to them.
-		Detector: fdetect.Config{Interval: 20 * time.Millisecond, Timeout: 100 * time.Millisecond},
-	})
-	defer c.Stop()
+	// Heartbeats on: the surviving leader has to *detect* the crashes before
+	// it can react to them.
+	_, procs := spawn(t, n, isis.WithDetector(fdetect.Config{Interval: 20 * time.Millisecond, Timeout: 100 * time.Millisecond}))
 	log := newDeliveryLog(n)
-	_, agents := buildService(t, c, n, func(i int) core.Config {
+	agents := buildService(t, procs, n, func(i int) core.Config {
 		cfg := recoveryCfg(3, 2, log, i)
 		cfg.LeaderSize = 3
 		return cfg
@@ -279,8 +274,8 @@ func TestLeaderGroupReplenishesAfterLeaderCrash(t *testing.T) {
 	// the node actor stops, sends to it keep succeeding and vanish.
 	dead := map[types.ProcessID]bool{}
 	for _, i := range leaders[:2] {
-		dead[c.Proc(i).ID] = true
-		c.Proc(i).Node.Stop()
+		dead[procs[i].ID()] = true
+		procs[i].Stop()
 	}
 	live := []int{leaders[2]}
 	live = append(live, others...)
@@ -344,14 +339,13 @@ func TestLeaderGroupReplenishesAfterLeaderCrash(t *testing.T) {
 // live leaf instead of hanging or erroring out.
 func TestClientRequestFailsOverFromDeadServer(t *testing.T) {
 	const n = 8
-	c := cluster.MustNew(n+1, cluster.Options{})
-	defer c.Stop()
+	_, procs := spawn(t, n+1)
 	log := newDeliveryLog(n)
-	_, _ = buildService(t, c, n, func(i int) core.Config {
+	buildService(t, procs, n, func(i int) core.Config {
 		return recoveryCfg(4, 2, log, i)
 	})
 
-	client := core.NewClient(c.Proc(n).Node, "svc", c.Proc(0).ID)
+	client := procs[n].NewServiceClient("svc", procs[0].ID())
 	client.AttemptTimeout = 300 * time.Millisecond
 
 	// Prime the cache with a server other than the entry point (requests
@@ -361,7 +355,7 @@ func TestClientRequestFailsOverFromDeadServer(t *testing.T) {
 		if _, err := client.Request(ctxT(t), []byte("warm")); err != nil {
 			t.Fatal(err)
 		}
-		if s := client.CachedServer(); !s.IsNil() && s != c.Proc(0).ID {
+		if s := client.CachedServer(); !s.IsNil() && s != procs[0].ID() {
 			victimPID = s
 			break
 		}
@@ -371,15 +365,15 @@ func TestClientRequestFailsOverFromDeadServer(t *testing.T) {
 	}
 	victim := -1
 	for i := 0; i < n; i++ {
-		if c.Proc(i).ID == victimPID {
+		if procs[i].ID() == victimPID {
 			victim = i
 		}
 	}
 	if victim < 0 {
-		t.Fatalf("cached server %v is not a cluster member", victimPID)
+		t.Fatalf("cached server %v is not a service member", victimPID)
 	}
 	// Silent death: the node stops consuming, the fabric keeps accepting.
-	c.Proc(victim).Node.Stop()
+	procs[victim].Stop()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 8*time.Second)
 	defer cancel()
@@ -403,10 +397,9 @@ func TestClientRequestFailsOverFromDeadServer(t *testing.T) {
 // checkers' virtual-synchrony comparison of terminal views relies on.
 func TestIdleLeaderGroupStopsReplicating(t *testing.T) {
 	const n = 6
-	c := cluster.MustNew(n, cluster.Options{})
-	defer c.Stop()
+	_, procs := spawn(t, n)
 	log := newDeliveryLog(n)
-	_, agents := buildService(t, c, n, func(i int) core.Config {
+	agents := buildService(t, procs, n, func(i int) core.Config {
 		cfg := recoveryCfg(3, 2, log, i)
 		cfg.LeaderSize = 3
 		return cfg
@@ -416,7 +409,7 @@ func TestIdleLeaderGroupStopsReplicating(t *testing.T) {
 	leaderDeliveries := 0
 	leaderKey := types.LeaderGroup("svc").Key()
 	for i := 0; i < n; i++ {
-		c.Proc(i).Stack.SetObserver(group.Observer{
+		procs[i].ObserveGroups(group.Observer{
 			OnDeliver: func(gid types.GroupID, _ group.Delivery) {
 				if gid.Key() == leaderKey {
 					mu.Lock()

@@ -3,18 +3,18 @@ package experiments
 import (
 	"fmt"
 
+	isis "repro"
 	"repro/internal/metrics"
-	"repro/internal/node"
 )
 
 // E9BatchingThroughput measures the broadcast hot path end to end: one
 // member of a flat group floods FIFO multicasts and the experiment times
 // how long the whole group takes to deliver them, with the transport
-// batching pipeline on (the default) versus off (one frame per message,
-// the pre-batching behaviour). Cast counts are identical in both modes —
-// batching changes how casts are framed and flushed, not how many are
-// sent — so the table also reports frames and the msgs/frame amortization
-// factor. The headline column is the speedup in delivered msgs/sec, the
+// batching pipeline on (the default) versus off (WithBatching(1, 0): one
+// message per frame, the pre-batching framing). Cast counts are identical
+// in both modes — batching changes how casts are framed and flushed, not
+// how many are sent — so the table also reports frames and the msgs/frame
+// amortization factor. The headline column is the speedup in delivered msgs/sec, the
 // quantity the ROADMAP's "measurably faster hot path" goal asks for.
 func E9BatchingThroughput(s Scale) (*metrics.Table, error) {
 	// Batching pays off proportionally to fan-out: below ~8 members the
@@ -34,11 +34,11 @@ func E9BatchingThroughput(s Scale) (*metrics.Table, error) {
 	t := metrics.NewTable("E9: broadcast hot-path throughput, batched vs unbatched",
 		"members", "casts", "mode", "elapsed", "delivered msgs/sec", "frames", "msgs/frame", "speedup")
 	for _, n := range sizes {
-		base, err := runFloodLoad(n, casts, node.Batching{Disable: true})
+		base, err := runFloodLoad(n, casts, isis.WithBatching(1, 0))
 		if err != nil {
 			return nil, fmt.Errorf("E9 unbatched n=%d: %w", n, err)
 		}
-		batched, err := runFloodLoad(n, casts, node.Batching{})
+		batched, err := runFloodLoad(n, casts)
 		if err != nil {
 			return nil, fmt.Errorf("E9 batched n=%d: %w", n, err)
 		}

@@ -17,9 +17,8 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/cluster"
+	isis "repro"
 	"repro/internal/core"
-	"repro/internal/group"
 	"repro/internal/member"
 	"repro/internal/metrics"
 	"repro/internal/reliability"
@@ -59,49 +58,93 @@ const opTimeout = 30 * time.Second
 
 // --- shared builders -------------------------------------------------------------
 
-// flatService is a coordinator-cohort service over one flat group of n
-// members plus one external client process.
-type flatService struct {
-	c      *cluster.Cluster
-	client *toolkit.FlatClient
-	groups []*group.Group
+// spawn starts n processes on a fresh simulated runtime.
+func spawn(n int, opts ...isis.Option) (*isis.Runtime, []*isis.Process, error) {
+	rt := isis.NewSimulated(opts...)
+	procs := make([]*isis.Process, n)
+	for i := range procs {
+		p, err := rt.Spawn()
+		if err != nil {
+			rt.Shutdown()
+			return nil, nil, err
+		}
+		procs[i] = p
+	}
+	return rt, procs, nil
 }
 
-func buildFlatService(n int) (*flatService, error) {
-	c, err := cluster.New(n+1, cluster.Options{})
-	if err != nil {
-		return nil, err
-	}
-	fs := &flatService{c: c}
-	gid := types.FlatGroup("flat-svc")
-	services := make([]*toolkit.Service, n)
-	cfg := func(i int) group.Config {
-		return group.Config{OnDeliver: func(d group.Delivery) {
-			if services[i] != nil {
-				services[i].Deliver(d)
-			}
-		}}
-	}
-	fs.groups = make([]*group.Group, n)
-	fs.groups[0], err = c.Proc(0).Stack.Create(gid, cfg(0))
-	if err != nil {
-		c.Stop()
+// waitFor polls cond until it holds or opTimeout passes.
+func waitFor(cond func() bool) bool {
+	ctx, cancel := context.WithTimeout(context.Background(), opTimeout)
+	defer cancel()
+	return isis.Await(ctx, cond) == nil
+}
+
+// formGroup forms one flat group across procs: procs[0] founds it, the rest
+// join through it, and it returns once every member's view holds them all.
+func formGroup(procs []*isis.Process, name string, cfgFor func(i int) isis.GroupConfig) ([]*isis.Group, error) {
+	n := len(procs)
+	groups := make([]*isis.Group, n)
+	var err error
+	if groups[0], err = procs[0].CreateGroup(name, cfgFor(0)); err != nil {
 		return nil, err
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), opTimeout)
 	defer cancel()
 	for i := 1; i < n; i++ {
-		fs.groups[i], err = c.Proc(i).Stack.Join(ctx, gid, c.Proc(0).ID, cfg(i))
-		if err != nil {
-			c.Stop()
-			return nil, fmt.Errorf("flat join %d/%d: %w", i, n, err)
+		if groups[i], err = procs[i].JoinGroup(ctx, name, procs[0].ID(), cfgFor(i)); err != nil {
+			return nil, fmt.Errorf("join %d/%d: %w", i, n, err)
 		}
+	}
+	if !waitFor(func() bool { return viewsHold(n, groups) }) {
+		return nil, fmt.Errorf("group never converged to %d members: %w", n, types.ErrTimeout)
+	}
+	return groups, nil
+}
+
+// viewsHold reports whether every listed member's current view has n
+// members.
+func viewsHold(n int, groups []*isis.Group) bool {
+	for _, g := range groups {
+		if g.Size() != n {
+			return false
+		}
+	}
+	return true
+}
+
+// flatService is a coordinator-cohort service over one flat group of n
+// members plus one external client process.
+type flatService struct {
+	rt     *isis.Runtime
+	procs  []*isis.Process
+	client *isis.ServiceClient
+	groups []*isis.Group
+}
+
+func buildFlatService(n int) (*flatService, error) {
+	rt, procs, err := spawn(n + 1)
+	if err != nil {
+		return nil, err
+	}
+	fs := &flatService{rt: rt, procs: procs}
+	services := make([]*toolkit.Service, n)
+	fs.groups, err = formGroup(procs[:n], "flat-svc", func(i int) isis.GroupConfig {
+		return isis.GroupConfig{OnDeliver: func(d isis.Delivery) {
+			if services[i] != nil {
+				services[i].Deliver(d)
+			}
+		}}
+	})
+	if err != nil {
+		rt.Shutdown()
+		return nil, err
 	}
 	for i := range services {
 		services[i] = toolkit.NewService(fs.groups[i], func(p []byte) []byte { return p })
 		toolkit.NewFlatServer(services[i])
 	}
-	fs.client = toolkit.NewFlatClient(c.Proc(n).Node, "flat-svc", c.Proc(0).ID)
+	fs.client = procs[n].NewServiceClient("flat-svc", procs[0].ID())
 	return fs, nil
 }
 
@@ -112,23 +155,24 @@ func (fs *flatService) request(payload []byte) error {
 	return err
 }
 
-func (fs *flatService) stop() { fs.c.Stop() }
+func (fs *flatService) stop() { fs.rt.Shutdown() }
 
 // hierService is a hierarchical-group service of n members plus one external
 // client process.
 type hierService struct {
-	c      *cluster.Cluster
-	agents []*core.Agent
-	client *core.Client
+	rt     *isis.Runtime
+	procs  []*isis.Process
+	agents []*isis.Service
+	client *isis.ServiceClient
 }
 
 func buildHierService(n, fanout, resiliency int, onBroadcast func()) (*hierService, error) {
-	c, err := cluster.New(n+1, cluster.Options{})
+	rt, procs, err := spawn(n + 1)
 	if err != nil {
 		return nil, err
 	}
-	hs := &hierService{c: c, agents: make([]*core.Agent, n)}
-	cfg := core.Config{
+	hs := &hierService{rt: rt, procs: procs, agents: make([]*isis.Service, n)}
+	cfg := isis.ServiceConfig{
 		Fanout:         fanout,
 		Resiliency:     resiliency,
 		RequestHandler: func(p []byte) []byte { return p },
@@ -136,28 +180,24 @@ func buildHierService(n, fanout, resiliency int, onBroadcast func()) (*hierServi
 	if onBroadcast != nil {
 		cfg.OnBroadcast = func([]byte) { onBroadcast() }
 	}
-	hosts := make([]*core.Host, n)
-	for i := 0; i < n; i++ {
-		hosts[i] = c.Proc(i).Host
-	}
-	hs.agents[0], err = hosts[0].Create("hier-svc", cfg)
+	hs.agents[0], err = procs[0].CreateService("hier-svc", cfg)
 	if err != nil {
-		c.Stop()
+		rt.Shutdown()
 		return nil, err
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), opTimeout)
 	defer cancel()
 	for i := 1; i < n; i++ {
-		hs.agents[i], err = hosts[i].Join(ctx, "hier-svc", c.Proc(0).ID, cfg)
+		hs.agents[i], err = procs[i].JoinService(ctx, "hier-svc", procs[0].ID(), cfg)
 		if err != nil {
-			c.Stop()
+			rt.Shutdown()
 			return nil, fmt.Errorf("hier join %d/%d: %w", i, n, err)
 		}
 	}
 	// Wait for the leader's tree to account for everyone so routing spreads
 	// over all leaves.
-	cluster.WaitFor(opTimeout, func() bool { return hs.agents[0].Tree().TotalMembers() == n })
-	hs.client = core.NewClient(c.Proc(n).Node, "hier-svc", c.Proc(0).ID)
+	waitFor(func() bool { return hs.agents[0].Tree().TotalMembers() == n })
+	hs.client = procs[n].NewServiceClient("hier-svc", procs[0].ID())
 	return hs, nil
 }
 
@@ -168,7 +208,7 @@ func (hs *hierService) request(payload []byte) error {
 	return err
 }
 
-func (hs *hierService) stop() { hs.c.Stop() }
+func (hs *hierService) stop() { hs.rt.Shutdown() }
 
 func settle() { time.Sleep(50 * time.Millisecond) }
 
@@ -191,14 +231,14 @@ func E1RequestCost(s Scale) (*metrics.Table, error) {
 			return nil, err
 		}
 		settle()
-		fs.c.Fabric.ResetStats()
+		fs.rt.Fabric().ResetStats()
 		if err := fs.request([]byte("measured")); err != nil {
 			fs.stop()
 			return nil, err
 		}
 		settle()
-		flatStats := fs.c.Fabric.Stats()
-		flatTouched := fs.c.Fabric.DistinctReceivers()
+		flatStats := fs.rt.Fabric().Stats()
+		flatTouched := fs.rt.Fabric().DistinctReceivers()
 		fs.stop()
 
 		hs, err := buildHierService(n, fanout, resiliency, nil)
@@ -210,14 +250,14 @@ func E1RequestCost(s Scale) (*metrics.Table, error) {
 			return nil, err
 		}
 		settle()
-		hs.c.Fabric.ResetStats()
+		hs.rt.Fabric().ResetStats()
 		if err := hs.request([]byte("measured")); err != nil {
 			hs.stop()
 			return nil, err
 		}
 		settle()
-		hierStats := hs.c.Fabric.Stats()
-		hierTouched := hs.c.Fabric.DistinctReceivers()
+		hierStats := hs.rt.Fabric().Stats()
+		hierTouched := hs.rt.Fabric().DistinctReceivers()
 		hs.stop()
 
 		ratio := float64(flatStats.MessagesSent) / float64(maxU64(hierStats.MessagesSent, 1))
@@ -256,7 +296,7 @@ func E2TrafficScaling(s Scale) (*metrics.Table, error) {
 			return nil, err
 		}
 		settle()
-		fs.c.Fabric.ResetStats()
+		fs.rt.Fabric().ResetStats()
 		for c := 0; c < clients; c++ {
 			for r := 0; r < requestsPerClient; r++ {
 				if err := fs.request([]byte(fmt.Sprintf("c%d-r%d", c, r))); err != nil {
@@ -266,7 +306,7 @@ func E2TrafficScaling(s Scale) (*metrics.Table, error) {
 			}
 		}
 		settle()
-		flatMsgs := fs.c.Fabric.Stats().MessagesSent
+		flatMsgs := fs.rt.Fabric().Stats().MessagesSent
 		fs.stop()
 
 		hs, err := buildHierService(n, e2Fanout, minInt(s.hierResiliency(), e2Fanout), nil)
@@ -274,9 +314,9 @@ func E2TrafficScaling(s Scale) (*metrics.Table, error) {
 			return nil, fmt.Errorf("E2 hier clients=%d: %w", clients, err)
 		}
 		// Each client keeps its own cached binding, like real workstations.
-		clientsHier := make([]*core.Client, clients)
+		clientsHier := make([]*isis.ServiceClient, clients)
 		for c := 0; c < clients; c++ {
-			clientsHier[c] = core.NewClient(hs.c.Proc(n).Node, "hier-svc", hs.c.Proc(0).ID)
+			clientsHier[c] = hs.procs[n].NewServiceClient("hier-svc", hs.procs[0].ID())
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), opTimeout)
 		for c := 0; c < clients; c++ { // warm the caches before measuring
@@ -287,7 +327,7 @@ func E2TrafficScaling(s Scale) (*metrics.Table, error) {
 			}
 		}
 		settle()
-		hs.c.Fabric.ResetStats()
+		hs.rt.Fabric().ResetStats()
 		for c := 0; c < clients; c++ {
 			for r := 0; r < requestsPerClient; r++ {
 				if _, err := clientsHier[c].Request(ctx, []byte(fmt.Sprintf("c%d-r%d", c, r))); err != nil {
@@ -299,7 +339,7 @@ func E2TrafficScaling(s Scale) (*metrics.Table, error) {
 		}
 		cancel()
 		settle()
-		hierMsgs := hs.c.Fabric.Stats().MessagesSent
+		hierMsgs := hs.rt.Fabric().Stats().MessagesSent
 		hs.stop()
 
 		t.AddRow(clients, n, flatMsgs, hierMsgs,
@@ -326,16 +366,16 @@ func E3MembershipChange(s Scale) (*metrics.Table, error) {
 			return nil, fmt.Errorf("E3 flat n=%d: %w", n, err)
 		}
 		settle()
-		fs.c.Fabric.ResetStats()
+		fs.rt.Fabric().ResetStats()
 		// A mid-ranked victim sits inside a filled leaf in the hierarchical
 		// configuration, which is the representative single-failure case.
 		victim := n / 2
-		fs.c.Crash(victim)
-		fs.c.InjectFailure(victim)
-		cluster.WaitFor(opTimeout, func() bool { return fs.groups[0].Size() == n-1 })
+		fs.rt.Crash(fs.procs[victim])
+		fs.rt.InjectFailure(fs.procs[victim])
+		waitFor(func() bool { return fs.groups[0].Size() == n-1 })
 		settle()
-		flatStats := fs.c.Fabric.Stats()
-		flatTouched := fs.c.Fabric.DistinctReceivers()
+		flatStats := fs.rt.Fabric().Stats()
+		flatTouched := fs.rt.Fabric().DistinctReceivers()
 		fs.stop()
 
 		hs, err := buildHierService(n, s.hierFanout(), s.hierResiliency(), nil)
@@ -343,13 +383,13 @@ func E3MembershipChange(s Scale) (*metrics.Table, error) {
 			return nil, fmt.Errorf("E3 hier n=%d: %w", n, err)
 		}
 		settle()
-		hs.c.Fabric.ResetStats()
-		hs.c.Crash(victim)
-		hs.c.InjectFailure(victim)
-		cluster.WaitFor(opTimeout, func() bool { return hs.agents[0].Tree().TotalMembers() == n-1 })
+		hs.rt.Fabric().ResetStats()
+		hs.rt.Crash(hs.procs[victim])
+		hs.rt.InjectFailure(hs.procs[victim])
+		waitFor(func() bool { return hs.agents[0].Tree().TotalMembers() == n-1 })
 		settle()
-		hierStats := hs.c.Fabric.Stats()
-		hierTouched := hs.c.Fabric.DistinctReceivers()
+		hierStats := hs.rt.Fabric().Stats()
+		hierTouched := hs.rt.Fabric().DistinctReceivers()
 		hs.stop()
 
 		t.AddRow(n, flatStats.MessagesSent, flatTouched, hierStats.MessagesSent, hierTouched)
@@ -410,7 +450,7 @@ func E5TreeBroadcast(s Scale) (*metrics.Table, error) {
 			return nil, fmt.Errorf("E5 flat n=%d: %w", n, err)
 		}
 		settle()
-		fs.c.Fabric.ResetStats()
+		fs.rt.Fabric().ResetStats()
 		ctx, cancel := context.WithTimeout(context.Background(), opTimeout)
 		if err := fs.groups[0].Cast(ctx, types.FIFO, []byte("to-everyone")); err != nil {
 			cancel()
@@ -419,8 +459,8 @@ func E5TreeBroadcast(s Scale) (*metrics.Table, error) {
 		}
 		cancel()
 		settle()
-		st := fs.c.Fabric.Stats()
-		t.AddRow(n, "flat", n-1, st.MessagesSent, fs.c.Fabric.MaxFanout(), 1)
+		st := fs.rt.Fabric().Stats()
+		t.AddRow(n, "flat", n-1, st.MessagesSent, fs.rt.Fabric().MaxFanout(), 1)
 		fs.stop()
 
 		for _, fanout := range fanouts {
@@ -433,7 +473,7 @@ func E5TreeBroadcast(s Scale) (*metrics.Table, error) {
 			}
 			settle()
 			depth := hs.agents[0].Tree().Depth() + 1
-			hs.c.Fabric.ResetStats()
+			hs.rt.Fabric().ResetStats()
 			ctx, cancel := context.WithTimeout(context.Background(), opTimeout)
 			covered, err := hs.agents[0].Broadcast(ctx, []byte("to-everyone"))
 			cancel()
@@ -442,9 +482,9 @@ func E5TreeBroadcast(s Scale) (*metrics.Table, error) {
 				return nil, err
 			}
 			settle()
-			st := hs.c.Fabric.Stats()
+			st := hs.rt.Fabric().Stats()
 			row := fmt.Sprintf("tree (covered %d)", covered)
-			t.AddRow(n, row, fanout, st.MessagesSent, hs.c.Fabric.MaxFanout(), depth)
+			t.AddRow(n, row, fanout, st.MessagesSent, hs.rt.Fabric().MaxFanout(), depth)
 			hs.stop()
 		}
 	}
@@ -515,14 +555,14 @@ func E7TradingRoom(s Scale) (*metrics.Table, error) {
 		if err != nil {
 			return nil, fmt.Errorf("E7 flat w=%d: %w", w, err)
 		}
-		fs.c.Fabric.ResetStats()
+		fs.rt.Fabric().ResetStats()
 		driver := workload.Driver{Deadline: cfg.Deadline, Concurrency: 16, PerRequestTimeout: opTimeout}
 		res := driver.Run(context.Background(), streams, func(int) workload.RequestFunc {
 			return func(ctx context.Context, payload []byte) ([]byte, error) {
 				return fs.client.Request(ctx, payload)
 			}
 		})
-		msgs := fs.c.Fabric.Stats().MessagesSent
+		msgs := fs.rt.Fabric().Stats().MessagesSent
 		t.AddRow(w, "flat", res.Requests, res.Latency.Percentile(50), res.Latency.Percentile(99),
 			res.DeadlineMiss, res.Errors, float64(msgs)/float64(maxInt(res.Requests, 1)))
 		fs.stop()
@@ -533,17 +573,17 @@ func E7TradingRoom(s Scale) (*metrics.Table, error) {
 		if err != nil {
 			return nil, fmt.Errorf("E7 hier w=%d: %w", w, err)
 		}
-		clients := make([]*core.Client, w)
+		clients := make([]*isis.ServiceClient, w)
 		for i := range clients {
-			clients[i] = core.NewClient(hs.c.Proc(serviceSize).Node, "hier-svc", hs.c.Proc(0).ID)
+			clients[i] = hs.procs[serviceSize].NewServiceClient("hier-svc", hs.procs[0].ID())
 		}
-		hs.c.Fabric.ResetStats()
+		hs.rt.Fabric().ResetStats()
 		res = driver.Run(context.Background(), streams, func(client int) workload.RequestFunc {
 			return func(ctx context.Context, payload []byte) ([]byte, error) {
 				return clients[client].Request(ctx, payload)
 			}
 		})
-		msgs = hs.c.Fabric.Stats().MessagesSent
+		msgs = hs.rt.Fabric().Stats().MessagesSent
 		t.AddRow(w, "hier", res.Requests, res.Latency.Percentile(50), res.Latency.Percentile(99),
 			res.DeadlineMiss, res.Errors, float64(msgs)/float64(maxInt(res.Requests, 1)))
 		hs.stop()
@@ -597,15 +637,15 @@ func E8SplitMerge(s Scale) (*metrics.Table, error) {
 	victimLeaf := tree.Leaves[len(tree.Leaves)-1]
 	firstLeaf := tree.Leaves[0]
 	killed := 0
-	hs.c.Fabric.ResetStats()
+	hs.rt.Fabric().ResetStats()
 	for i := 1; i < n; i++ { // skip the founder
 		if hs.agents[i] == nil {
 			continue
 		}
 		leaf := hs.agents[i].Leaf()
 		if leaf != nil && leaf.ID().Equal(firstLeaf.ID) {
-			hs.c.Crash(i)
-			hs.c.InjectFailure(i)
+			hs.rt.Crash(hs.procs[i])
+			hs.rt.InjectFailure(hs.procs[i])
 			hs.agents[i] = nil
 			killed++
 			break
@@ -619,30 +659,29 @@ func E8SplitMerge(s Scale) (*metrics.Table, error) {
 		if leaf == nil || !leaf.ID().Equal(victimLeaf.ID) {
 			continue
 		}
-		hs.c.Crash(i)
-		hs.c.InjectFailure(i)
+		hs.rt.Crash(hs.procs[i])
+		hs.rt.InjectFailure(hs.procs[i])
 		hs.agents[i] = nil
 		killed++
 	}
-	cluster.WaitFor(opTimeout, func() bool {
+	waitFor(func() bool {
 		tr := hs.agents[0].Tree()
 		return tr.TotalMembers() <= n-killed && tr.LeafCount() < tree.LeafCount()
 	})
 	settle()
-	snapshot(fmt.Sprintf("after %d failures + merge", killed), hs.c.Fabric.Stats().MessagesSent)
+	snapshot(fmt.Sprintf("after %d failures + merge", killed), hs.rt.Fabric().Stats().MessagesSent)
 
 	// Grow the service back: new processes join and the leader places them
 	// into (or creates) leaves, restoring the size distribution.
-	hs.c.Fabric.ResetStats()
+	hs.rt.Fabric().ResetStats()
 	added := 0
 	for i := 0; i < killed+2; i++ {
-		p, err := hs.c.AddProcess()
+		p, err := hs.rt.Spawn()
 		if err != nil {
 			return nil, err
 		}
-		h := p.Host
 		ctx, cancel := context.WithTimeout(context.Background(), opTimeout)
-		_, err = h.Join(ctx, "hier-svc", hs.c.Proc(0).ID, core.Config{
+		_, err = p.JoinService(ctx, "hier-svc", hs.procs[0].ID(), isis.ServiceConfig{
 			Fanout: fanout, Resiliency: resiliency,
 			RequestHandler: func(b []byte) []byte { return b },
 		})
@@ -653,7 +692,7 @@ func E8SplitMerge(s Scale) (*metrics.Table, error) {
 		added++
 	}
 	settle()
-	snapshot(fmt.Sprintf("after %d joins (regrow)", added), hs.c.Fabric.Stats().MessagesSent)
+	snapshot(fmt.Sprintf("after %d joins (regrow)", added), hs.rt.Fabric().Stats().MessagesSent)
 
 	if err := hs.agents[0].Tree().CheckInvariants(); err != nil {
 		return nil, fmt.Errorf("E8: tree invariants violated after churn: %w", err)
@@ -680,7 +719,7 @@ func A1Fanout(s Scale) (*metrics.Table, error) {
 		depth := hs.agents[0].Tree().Depth() + 1
 		leaves := hs.agents[0].Tree().LeafCount()
 
-		hs.c.Fabric.ResetStats()
+		hs.rt.Fabric().ResetStats()
 		ctx, cancel := context.WithTimeout(context.Background(), opTimeout)
 		if _, err := hs.agents[0].Broadcast(ctx, []byte("x")); err != nil {
 			cancel()
@@ -689,20 +728,20 @@ func A1Fanout(s Scale) (*metrics.Table, error) {
 		}
 		cancel()
 		settle()
-		bcastMsgs := hs.c.Fabric.Stats().MessagesSent
+		bcastMsgs := hs.rt.Fabric().Stats().MessagesSent
 
 		if err := hs.request([]byte("warm")); err != nil {
 			hs.stop()
 			return nil, err
 		}
 		settle()
-		hs.c.Fabric.ResetStats()
+		hs.rt.Fabric().ResetStats()
 		if err := hs.request([]byte("measured")); err != nil {
 			hs.stop()
 			return nil, err
 		}
 		settle()
-		reqMsgs := hs.c.Fabric.Stats().MessagesSent
+		reqMsgs := hs.rt.Fabric().Stats().MessagesSent
 		hs.stop()
 
 		t.AddRow(n, fanout, leaves, depth, bcastMsgs, reqMsgs)
@@ -733,13 +772,13 @@ func A2Resiliency(s Scale) (*metrics.Table, error) {
 			return nil, err
 		}
 		settle()
-		hs.c.Fabric.ResetStats()
+		hs.rt.Fabric().ResetStats()
 		if err := hs.request([]byte("measured")); err != nil {
 			hs.stop()
 			return nil, err
 		}
 		settle()
-		msgs := hs.c.Fabric.Stats().MessagesSent
+		msgs := hs.rt.Fabric().Stats().MessagesSent
 		hs.stop()
 		t.AddRow(r, msgs, reliability.RequestAvailability(0.05, r), reliability.MarginalGain(0.05, r-1))
 	}
@@ -764,7 +803,7 @@ func A3Ordering(s Scale) (*metrics.Table, error) {
 			return nil, err
 		}
 		settle()
-		fs.c.Fabric.ResetStats()
+		fs.rt.Fabric().ResetStats()
 		const casts = 5
 		for i := 0; i < casts; i++ {
 			if err := fs.groups[1].Cast(ctx, o, []byte("measured")); err != nil {
@@ -775,7 +814,7 @@ func A3Ordering(s Scale) (*metrics.Table, error) {
 		}
 		cancel()
 		settle()
-		msgs := fs.c.Fabric.Stats().MessagesSent
+		msgs := fs.rt.Fabric().Stats().MessagesSent
 		fs.stop()
 		t.AddRow(o.String(), n, float64(msgs)/casts)
 	}

@@ -1,15 +1,11 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/cluster"
-	"repro/internal/group"
-	"repro/internal/netsim"
-	"repro/internal/node"
+	isis "repro"
 	"repro/internal/types"
 )
 
@@ -18,39 +14,27 @@ import (
 type floodResult struct {
 	elapsed time.Duration
 	rate    float64 // delivered msgs/sec across the whole group
-	stats   netsim.Stats
+	stats   isis.Stats
 }
 
 // runFloodLoad is the shared hot-path load harness behind E9 and E12: build
-// a flat group of n members with the given batching knobs, flood casts from
-// one member, and wait until every member has delivered every cast. Keeping
-// one implementation means the two experiments (and any future one) measure
-// identical flow control — only the knob under test differs.
-func runFloodLoad(n, casts int, b node.Batching) (floodResult, error) {
-	c, err := cluster.New(n, cluster.Options{Batching: b})
+// a flat group of n members on a runtime with the given options, flood casts
+// from one member, and wait until every member has delivered every cast.
+// Keeping one implementation means the two experiments (and any future one)
+// measure identical flow control — only the knob under test differs.
+func runFloodLoad(n, casts int, opts ...isis.Option) (floodResult, error) {
+	rt, procs, err := spawn(n, opts...)
 	if err != nil {
 		return floodResult{}, err
 	}
-	defer c.Stop()
+	defer rt.Shutdown()
 
 	var delivered atomic.Int64
-	gid := types.FlatGroup("flood")
-	cfg := group.Config{OnDeliver: func(group.Delivery) { delivered.Add(1) }}
-	groups := make([]*group.Group, n)
-	groups[0], err = c.Proc(0).Stack.Create(gid, cfg)
+	groups, err := formGroup(procs, "flood", func(int) isis.GroupConfig {
+		return isis.GroupConfig{OnDeliver: func(isis.Delivery) { delivered.Add(1) }}
+	})
 	if err != nil {
 		return floodResult{}, err
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), opTimeout)
-	defer cancel()
-	for i := 1; i < n; i++ {
-		groups[i], err = c.Proc(i).Stack.Join(ctx, gid, c.Proc(0).ID, cfg)
-		if err != nil {
-			return floodResult{}, fmt.Errorf("join %d/%d: %w", i, n, err)
-		}
-	}
-	if !cluster.WaitForViewSize(opTimeout, n, groups...) {
-		return floodResult{}, fmt.Errorf("group never converged to %d members: %w", n, types.ErrTimeout)
 	}
 
 	// Two rounds on the same (warmed) cluster; the better one is reported.
@@ -61,7 +45,7 @@ func runFloodLoad(n, casts int, b node.Batching) (floodResult, error) {
 	for round := 0; round < 2; round++ {
 		already := delivered.Load()
 		want := already + int64(n)*int64(casts)
-		c.Fabric.ResetStats()
+		rt.Fabric().ResetStats()
 		start := time.Now()
 		// Windowed flood: cap casts in flight so no mode can overflow the
 		// receivers' bounded inbound queues (the netsim overloaded-
@@ -85,8 +69,8 @@ func runFloodLoad(n, casts int, b node.Batching) (floodResult, error) {
 			}
 			sent += burst
 		}
-		// Tight polling: cluster.WaitFor's 2ms granularity would be a
-		// visible constant error on runs this short.
+		// Tight polling: isis.Await's 2ms granularity would be a visible
+		// constant error on runs this short.
 		deadline := time.Now().Add(opTimeout)
 		for delivered.Load() < want {
 			if time.Now().After(deadline) {
@@ -98,7 +82,7 @@ func runFloodLoad(n, casts int, b node.Batching) (floodResult, error) {
 		res := floodResult{
 			elapsed: elapsed,
 			rate:    float64(want-already) / elapsed.Seconds(),
-			stats:   c.Fabric.Stats(),
+			stats:   rt.Stats(),
 		}
 		if best.rate == 0 || res.rate > best.rate {
 			best = res

@@ -1,15 +1,12 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/cluster"
-	"repro/internal/group"
+	isis "repro"
 	"repro/internal/metrics"
-	"repro/internal/reliability"
 	"repro/internal/types"
 )
 
@@ -17,9 +14,9 @@ import (
 // on an unreliable network: one member of a flat group floods FIFO
 // multicasts while the fabric drops a fixed fraction of messages, with the
 // reliability layer's recovery on (the default) versus off (the
-// pre-stability best-effort fan-out). The headline columns are the fraction
-// of the offered load the whole group actually delivered and the delivered
-// msgs/sec. Without retransmission a single lost cast stalls each
+// best-effort fan-out: a NAK interval of an hour, so no NAK fires during
+// the run). The headline columns are the fraction of the offered load the
+// whole group actually delivered and the delivered msgs/sec. Without retransmission a single lost cast stalls each
 // receiver's FIFO stream for the rest of the run, so delivery collapses at
 // even 1% loss; with NAK/retransmit the group should stay near complete
 // delivery at a modest throughput cost — which is the paper's
@@ -56,45 +53,36 @@ func E11LossyThroughput(s Scale) (*metrics.Table, error) {
 type lossyResult struct {
 	fraction float64 // delivered / offered, across the whole group
 	rate     float64 // delivered msgs/sec
-	rel      reliability.Stats
+	rel      isis.ReliabilityStats
 }
 
 // runLossyLoad builds a flat group, turns on random loss, floods casts from
 // one member, and waits until delivery converges (all delivered, or no
 // progress across a recovery-sized window).
 func runLossyLoad(n, casts int, loss float64, retransmit bool) (lossyResult, error) {
-	c, err := cluster.New(n, cluster.Options{})
+	var opts []isis.Option
+	if !retransmit {
+		// NAKs fire only from the recovery timer; an hour-long interval
+		// keeps it from ticking during the run.
+		opts = append(opts, isis.WithReliability(isis.ReliabilityConfig{NakInterval: time.Hour}))
+	}
+	rt, procs, err := spawn(n, opts...)
 	if err != nil {
 		return lossyResult{}, err
 	}
-	defer c.Stop()
+	defer rt.Shutdown()
 
 	var delivered atomic.Int64
-	gid := types.FlatGroup("e11-lossy")
-	cfg := group.Config{
-		OnDeliver:   func(group.Delivery) { delivered.Add(1) },
-		Reliability: reliability.Config{DisableRetransmit: !retransmit},
-	}
-	groups := make([]*group.Group, n)
-	groups[0], err = c.Proc(0).Stack.Create(gid, cfg)
+	groups, err := formGroup(procs, "e11-lossy", func(int) isis.GroupConfig {
+		return isis.GroupConfig{OnDeliver: func(isis.Delivery) { delivered.Add(1) }}
+	})
 	if err != nil {
 		return lossyResult{}, err
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), opTimeout)
-	defer cancel()
-	for i := 1; i < n; i++ {
-		groups[i], err = c.Proc(i).Stack.Join(ctx, gid, c.Proc(0).ID, cfg)
-		if err != nil {
-			return lossyResult{}, fmt.Errorf("join %d/%d: %w", i, n, err)
-		}
-	}
-	if !cluster.WaitForViewSize(opTimeout, n, groups...) {
-		return lossyResult{}, fmt.Errorf("group never converged to %d members: %w", n, types.ErrTimeout)
 	}
 
 	// Loss starts after the membership is settled: the experiment measures
 	// the data path, not join robustness (the chaos harness covers that).
-	c.Fabric.SetLossRate(loss)
+	rt.Fabric().SetLossRate(loss)
 	want := int64(n) * int64(casts)
 	payload := []byte("lossy-throughput-payload-0123456789")
 	start := time.Now()
@@ -130,8 +118,8 @@ func runLossyLoad(n, casts int, loss float64, retransmit bool) (lossyResult, err
 		fraction: float64(got) / float64(want),
 		rate:     float64(got) / elapsed.Seconds(),
 	}
-	for i := 0; i < n; i++ {
-		res.rel.Add(c.Proc(i).Stack.ReliabilityStats())
+	for _, p := range procs {
+		res.rel.Add(p.ReliabilityStats())
 	}
 	return res, nil
 }

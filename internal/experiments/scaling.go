@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/metrics"
-	"repro/internal/node"
 )
 
 // E12MemberScaling measures the acknowledgement path as a function of group
@@ -28,7 +27,7 @@ func E12MemberScaling(s Scale) (*metrics.Table, error) {
 	t := metrics.NewTable("E12: member scaling, cumulative watermark acks",
 		"members", "casts", "elapsed", "delivered msgs/sec", "ack msgs", "acks/cast")
 	for _, n := range sizes {
-		r, err := runFloodLoad(n, casts, node.Batching{})
+		r, err := runFloodLoad(n, casts)
 		if err != nil {
 			return nil, fmt.Errorf("E12 n=%d: %w", n, err)
 		}

@@ -7,14 +7,13 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/cluster"
-	"repro/internal/group"
-	"repro/internal/kvstore"
+	isis "repro"
 	"repro/internal/metrics"
 	"repro/internal/types"
 )
 
-// E13StateTransfer measures the durable-state subsystem this PR adds.
+// E13StateTransfer measures the durable-state subsystem on the shipped KV
+// map (isis.KV).
 //
 // The first table is the write-ahead log's cost on the hot path: one replica
 // of a small KV group floods totally ordered put operations and the round is
@@ -83,22 +82,22 @@ type kvLoadResult struct {
 // waits until every replica has applied all of them. With wal set, every
 // process logs its applied deliveries to a temporary directory.
 func runKVLoad(n, ops int, wal bool) (kvLoadResult, error) {
-	opts := cluster.Options{}
+	var opts []isis.Option
 	if wal {
 		dir, err := os.MkdirTemp("", "isis-e13-wal-")
 		if err != nil {
 			return kvLoadResult{}, err
 		}
 		defer os.RemoveAll(dir)
-		opts.WALDir = dir
+		opts = append(opts, isis.WithWAL(dir))
 	}
-	c, err := cluster.New(n, opts)
+	rt, procs, err := spawn(n, opts...)
 	if err != nil {
 		return kvLoadResult{}, err
 	}
-	defer c.Stop()
+	defer rt.Shutdown()
 
-	groups, stores, err := buildKVGroup(c, n)
+	kvs, err := formKV(procs)
 	if err != nil {
 		return kvLoadResult{}, err
 	}
@@ -106,12 +105,9 @@ func runKVLoad(n, ops int, wal bool) (kvLoadResult, error) {
 	// Windowed flood, same flow control as the E9/E12 harness: cap the ops
 	// in flight so the bounded inbound queues never overflow.
 	const window = 1024
-	payload := func(i int) []byte {
-		return kvstore.EncodeOp(kvstore.OpPut, uint64(i+1), fmt.Sprintf("key-%06d", i), "value-0123456789abcdef")
-	}
 	start := time.Now()
 	for sent := 0; sent < ops; {
-		inFlight := int64(sent) - int64(stores[0].Applied())
+		inFlight := int64(sent) - int64(kvs[0].Applied())
 		if inFlight >= window {
 			time.Sleep(20 * time.Microsecond)
 			continue
@@ -121,24 +117,14 @@ func runKVLoad(n, ops int, wal bool) (kvLoadResult, error) {
 			burst = room
 		}
 		for k := 0; k < burst; k++ {
-			groups[0].CastAsync(types.Total, payload(sent+k))
+			kvs[0].PutAsync(fmt.Sprintf("key-%06d", sent), "value-0123456789abcdef")
 			sent++
 		}
 	}
 	deadline := time.Now().Add(opTimeout)
-	for {
-		done := true
-		for _, st := range stores {
-			if st.Applied() < uint64(ops) {
-				done = false
-				break
-			}
-		}
-		if done {
-			break
-		}
+	for !allApplied(kvs, ops) {
 		if time.Now().After(deadline) {
-			return kvLoadResult{}, fmt.Errorf("applied %d of %d: %w", stores[0].Applied(), ops, types.ErrTimeout)
+			return kvLoadResult{}, fmt.Errorf("applied %d of %d: %w", kvs[0].Applied(), ops, types.ErrTimeout)
 		}
 		time.Sleep(50 * time.Microsecond)
 	}
@@ -146,8 +132,8 @@ func runKVLoad(n, ops int, wal bool) (kvLoadResult, error) {
 
 	res := kvLoadResult{elapsed: elapsed, rate: float64(ops) / elapsed.Seconds()}
 	if wal {
-		for _, g := range groups {
-			st := g.StateStats()
+		for _, kv := range kvs {
+			st := kv.Group().StateStats()
 			res.walRecords += st.WALAppends + st.WALCompactions
 		}
 	}
@@ -164,104 +150,93 @@ type joinResult struct {
 // runJoinTransfer preloads a KV group of n members with a fixed map and
 // times how long a fresh joiner takes to hold an identical map.
 func runJoinTransfer(n, keys int) (joinResult, error) {
-	c, err := cluster.New(n, cluster.Options{})
+	rt, procs, err := spawn(n)
 	if err != nil {
 		return joinResult{}, err
 	}
-	defer c.Stop()
+	defer rt.Shutdown()
 
-	groups, stores, err := buildKVGroup(c, n)
+	kvs, err := formKV(procs)
 	if err != nil {
 		return joinResult{}, err
 	}
 	for i := 0; i < keys; i++ {
-		groups[0].CastAsync(types.Total,
-			kvstore.EncodeOp(kvstore.OpPut, uint64(i+1), fmt.Sprintf("key-%06d", i), "value-0123456789abcdefghijklmnopqrstuvwxyz"))
+		kvs[0].PutAsync(fmt.Sprintf("key-%06d", i), "value-0123456789abcdefghijklmnopqrstuvwxyz")
 	}
-	if !cluster.WaitFor(opTimeout, func() bool {
-		for _, st := range stores {
-			if st.Applied() < uint64(keys) {
-				return false
-			}
-		}
-		return true
-	}) {
+	if !waitFor(func() bool { return allApplied(kvs, keys) }) {
 		return joinResult{}, fmt.Errorf("preload never applied everywhere: %w", types.ErrTimeout)
 	}
-	want := stores[0].Digest()
+	want := kvs[0].Digest()
 	// Let the preload reach stability before timing the join: the view-change
 	// flush retransmits whatever is still unstable, and this round measures
 	// checkpoint transfer, not residual retransmission of the preload.
 	time.Sleep(250 * time.Millisecond)
 
-	p, err := c.AddProcess()
+	p, err := rt.Spawn()
 	if err != nil {
 		return joinResult{}, err
 	}
-	store := kvstore.New()
 	// The join's view change flushes across all n members, so its latency
 	// grows with group size (the point of the table); give the largest sweeps
 	// more headroom than the flat opTimeout.
 	ctx, cancel := context.WithTimeout(context.Background(), 4*opTimeout)
 	defer cancel()
 	start := time.Now()
-	g, err := p.Stack.Join(ctx, types.FlatGroup("e13-kv"), c.Proc(0).ID, kvConfig(store))
+	kv, err := p.JoinKV(ctx, "e13-kv", procs[0].ID(), isis.GroupConfig{})
 	if err != nil {
 		return joinResult{}, fmt.Errorf("join n=%d: %w", n, err)
 	}
-	if !cluster.WaitFor(opTimeout, func() bool { return store.Digest() == want }) {
+	if !waitFor(func() bool { return kv.Digest() == want }) {
 		return joinResult{}, fmt.Errorf("joiner never converged: %w", types.ErrTimeout)
 	}
 	latency := time.Since(start)
 	// Chunk count from the joiner's side of the transfer; snapshot size from
 	// the founder, whose captured checkpoint served the join.
-	st := g.StateStats()
-	return joinResult{latency: latency, chunks: st.ChunksReceived, snapshotBytes: groups[0].StateStats().SnapshotBytes}, nil
+	st := kv.Group().StateStats()
+	return joinResult{latency: latency, chunks: st.ChunksReceived, snapshotBytes: kvs[0].Group().StateStats().SnapshotBytes}, nil
 }
 
-// kvConfig wires a store into a group config the way the facade's KV service
-// does: the store is the state machine and applies every delivery.
-func kvConfig(store *kvstore.Store) group.Config {
-	return group.Config{
-		State:     store,
-		OnDeliver: store.Apply,
-	}
-}
-
-// buildKVGroup stands a KV replica group up on an existing cluster: one
-// store per process, process 0 the founder.
-func buildKVGroup(c *cluster.Cluster, n int) ([]*group.Group, []*kvstore.Store, error) {
-	gid := types.FlatGroup("e13-kv")
-	groups := make([]*group.Group, n)
-	stores := make([]*kvstore.Store, n)
+// formKV stands a replicated KV map up across procs: procs[0] founds it,
+// the rest join through it concurrently.
+func formKV(procs []*isis.Process) ([]*isis.KV, error) {
+	n := len(procs)
+	kvs := make([]*isis.KV, n)
 	var err error
-	for i := range stores {
-		stores[i] = kvstore.New()
-	}
-	groups[0], err = c.Proc(0).Stack.Create(gid, kvConfig(stores[0]))
-	if err != nil {
-		return nil, nil, err
+	if kvs[0], err = procs[0].CreateKV("e13-kv", isis.GroupConfig{}); err != nil {
+		return nil, err
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), opTimeout)
 	defer cancel()
 	var wg sync.WaitGroup
 	errs := make([]error, n)
 	for i := 1; i < n; i++ {
-		i := i
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			groups[i], errs[i] = c.Proc(i).Stack.Join(ctx, gid, c.Proc(0).ID, kvConfig(stores[i]))
+			kvs[i], errs[i] = procs[i].JoinKV(ctx, "e13-kv", procs[0].ID(), isis.GroupConfig{})
 		}()
 	}
 	wg.Wait()
-	for i, e := range errs {
-		if e != nil {
-			return nil, nil, fmt.Errorf("join %d/%d: %w", i, n, e)
+	groups := make([]*isis.Group, n)
+	for i, kv := range kvs {
+		if errs[i] != nil {
+			return nil, fmt.Errorf("join %d/%d: %w", i, n, errs[i])
+		}
+		groups[i] = kv.Group()
+	}
+	if !waitFor(func() bool { return viewsHold(n, groups) }) {
+		return nil, fmt.Errorf("group never converged to %d members: %w", n, types.ErrTimeout)
+	}
+	return kvs, nil
+}
+
+// allApplied reports whether every replica has applied at least ops
+// operations.
+func allApplied(kvs []*isis.KV, ops int) bool {
+	for _, kv := range kvs {
+		if kv.Applied() < uint64(ops) {
+			return false
 		}
 	}
-	if !cluster.WaitForViewSize(opTimeout, n, groups...) {
-		return nil, nil, fmt.Errorf("group never converged to %d members: %w", n, types.ErrTimeout)
-	}
-	return groups, stores, nil
+	return true
 }

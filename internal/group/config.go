@@ -86,8 +86,7 @@ type Config struct {
 	FlushRetry time.Duration
 
 	// Reliability tunes the message-stability and NAK/retransmit layer
-	// (zero fields select the defaults; DisableRetransmit turns recovery
-	// off for baseline measurements).
+	// (zero fields select the defaults).
 	Reliability reliability.Config
 }
 

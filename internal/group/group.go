@@ -563,7 +563,7 @@ func (g *Group) startViewChange() {
 // casts whose sender crashed mid-fanout. Stability bounds the forwarded set:
 // casts every member already holds are never re-sent.
 func (g *Group) flushForward(proposed member.View) {
-	if g.cfg.Reliability.DisableRetransmit || g.rel == nil || !g.joined {
+	if g.rel == nil || !g.joined {
 		return
 	}
 	if g.forwardedFor == proposed.ID {
@@ -666,26 +666,24 @@ func (g *Group) finishFlush() {
 	// re-announced slot ignore it as stale; within one view there is a
 	// single sequencer, so re-announced bindings can never conflict.
 	abCut := lastSlot
-	if !g.cfg.Reliability.DisableRetransmit {
-		anns := reannounce
-		for _, id := range unbound {
-			abCut++
-			anns = append(anns, types.SeqBinding{Seq: abCut, ID: id})
+	anns := reannounce
+	for _, id := range unbound {
+		abCut++
+		anns = append(anns, types.SeqBinding{Seq: abCut, ID: id})
+	}
+	for _, b := range anns {
+		om := &types.Message{
+			Kind:  types.KindOrder,
+			Group: g.id,
+			View:  g.view.ID,
+			ID:    b.ID,
+			Seq:   b.Seq,
 		}
-		for _, b := range anns {
-			om := &types.Message{
-				Kind:  types.KindOrder,
-				Group: g.id,
-				View:  g.view.ID,
-				ID:    b.ID,
-				Seq:   b.Seq,
-			}
-			g.stack.node.SendCopies(g.view.Members, om)
-			for _, d := range g.total.AddOrder(b.Seq, b.ID) {
-				g.deliver(d)
-			}
-			g.relStats.Reannounced++
+		g.stack.node.SendCopies(g.view.Members, om)
+		for _, d := range g.total.AddOrder(b.Seq, b.ID) {
+			g.deliver(d)
 		}
+		g.relStats.Reannounced++
 	}
 
 	// Replay casts parked during the wedge, up to the cut, before the

@@ -8,7 +8,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/cluster"
+	isis "repro"
 	"repro/internal/group"
 	"repro/internal/member"
 	"repro/internal/netsim"
@@ -68,25 +68,55 @@ func (c *collector) lastView() member.View {
 	return c.views[len(c.views)-1]
 }
 
+// spawn starts n processes on a simulated runtime shut down at test end.
+func spawn(t *testing.T, n int, opts ...isis.Option) (*isis.Runtime, []*isis.Process) {
+	rt := isis.NewSimulated(opts...)
+	t.Cleanup(rt.Shutdown)
+	procs := make([]*isis.Process, n)
+	for i := range procs {
+		procs[i] = rt.MustSpawn()
+	}
+	return rt, procs
+}
+
+// waitFor polls cond for up to testTimeout.
+func waitFor(cond func() bool) bool {
+	ctx, cancel := context.WithTimeout(context.Background(), testTimeout)
+	defer cancel()
+	return isis.Await(ctx, cond) == nil
+}
+
+// waitForViewSize waits until every listed member's view has n members.
+func waitForViewSize(n int, groups ...*group.Group) bool {
+	return waitFor(func() bool {
+		for _, g := range groups {
+			if g.Size() != n {
+				return false
+			}
+		}
+		return true
+	})
+}
+
 // buildGroup creates a flat group named "g" whose members are the first n
-// processes of the cluster: process 0 creates, the rest join through it.
-func buildGroup(t *testing.T, c *cluster.Cluster, n int, cfgFor func(i int) group.Config) []*group.Group {
+// processes: process 0 creates, the rest join through it.
+func buildGroup(t *testing.T, procs []*isis.Process, n int, cfgFor func(i int) group.Config) []*group.Group {
 	t.Helper()
-	gid := types.FlatGroup("g")
+	const gid = "g"
 	groups := make([]*group.Group, n)
-	g0, err := c.Proc(0).Stack.Create(gid, cfgFor(0))
+	g0, err := procs[0].CreateGroup(gid, cfgFor(0))
 	if err != nil {
 		t.Fatal(err)
 	}
 	groups[0] = g0
 	for i := 1; i < n; i++ {
-		g, err := c.Proc(i).Stack.Join(ctxT(t), gid, c.Proc(0).ID, cfgFor(i))
+		g, err := procs[i].JoinGroup(ctxT(t), gid, procs[0].ID(), cfgFor(i))
 		if err != nil {
 			t.Fatalf("join %d: %v", i, err)
 		}
 		groups[i] = g
 	}
-	if !cluster.WaitForViewSize(testTimeout, n, groups...) {
+	if !waitForViewSize(n, groups...) {
 		for i, g := range groups {
 			t.Logf("member %d view: %v", i, g.CurrentView())
 		}
@@ -96,18 +126,17 @@ func buildGroup(t *testing.T, c *cluster.Cluster, n int, cfgFor func(i int) grou
 }
 
 func TestCreateSingletonGroup(t *testing.T) {
-	c := cluster.MustNew(1, cluster.Options{})
-	defer c.Stop()
+	_, procs := spawn(t, 1)
 	col := &collector{}
-	g, err := c.Proc(0).Stack.Create(types.FlatGroup("solo"), group.Config{OnView: col.onView})
+	g, err := procs[0].CreateGroup("solo", group.Config{OnView: col.onView})
 	if err != nil {
 		t.Fatal(err)
 	}
 	v := g.CurrentView()
-	if v.Size() != 1 || v.ID != 1 || v.Coordinator() != c.Proc(0).ID {
+	if v.Size() != 1 || v.ID != 1 || v.Coordinator() != procs[0].ID() {
 		t.Errorf("view = %v", v)
 	}
-	if g.Coordinator() != c.Proc(0).ID || g.Size() != 1 {
+	if g.Coordinator() != procs[0].ID() || g.Size() != 1 {
 		t.Error("accessors disagree with view")
 	}
 	if col.lastView().ID != 1 {
@@ -116,25 +145,23 @@ func TestCreateSingletonGroup(t *testing.T) {
 }
 
 func TestCreateTwiceRejected(t *testing.T) {
-	c := cluster.MustNew(1, cluster.Options{})
-	defer c.Stop()
-	if _, err := c.Proc(0).Stack.Create(types.FlatGroup("dup"), group.Config{}); err != nil {
+	_, procs := spawn(t, 1)
+	if _, err := procs[0].CreateGroup("dup", group.Config{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Proc(0).Stack.Create(types.FlatGroup("dup"), group.Config{}); !errors.Is(err, types.ErrRejected) {
+	if _, err := procs[0].CreateGroup("dup", group.Config{}); !errors.Is(err, types.ErrRejected) {
 		t.Errorf("second create err = %v", err)
 	}
 }
 
 func TestJoinGrowsView(t *testing.T) {
-	c := cluster.MustNew(4, cluster.Options{})
-	defer c.Stop()
-	groups := buildGroup(t, c, 4, func(int) group.Config { return group.Config{} })
+	_, procs := spawn(t, 4)
+	groups := buildGroup(t, procs, 4, func(int) group.Config { return group.Config{} })
 
 	// Every member must agree on the same membership and the same
 	// coordinator (the founder, being oldest).
 	want := groups[0].CurrentView()
-	if want.Coordinator() != c.Proc(0).ID {
+	if want.Coordinator() != procs[0].ID() {
 		t.Errorf("coordinator = %v", want.Coordinator())
 	}
 	for i, g := range groups {
@@ -149,59 +176,55 @@ func TestJoinGrowsView(t *testing.T) {
 }
 
 func TestJoinViaNonCoordinatorContact(t *testing.T) {
-	c := cluster.MustNew(3, cluster.Options{})
-	defer c.Stop()
-	gid := types.FlatGroup("g")
-	g0, err := c.Proc(0).Stack.Create(gid, group.Config{})
+	_, procs := spawn(t, 3)
+	const gid = "g"
+	g0, err := procs[0].CreateGroup(gid, group.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	g1, err := c.Proc(1).Stack.Join(ctxT(t), gid, c.Proc(0).ID, group.Config{})
+	g1, err := procs[1].JoinGroup(ctxT(t), gid, procs[0].ID(), group.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Process 2 joins via process 1, which is not the coordinator; the
 	// request must be forwarded.
-	g2, err := c.Proc(2).Stack.Join(ctxT(t), gid, c.Proc(1).ID, group.Config{})
+	g2, err := procs[2].JoinGroup(ctxT(t), gid, procs[1].ID(), group.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !cluster.WaitForViewSize(testTimeout, 3, g0, g1, g2) {
+	if !waitForViewSize(3, g0, g1, g2) {
 		t.Fatal("group never reached 3 members")
 	}
 }
 
 func TestJoinUnknownGroupTimesOut(t *testing.T) {
-	c := cluster.MustNew(2, cluster.Options{})
-	defer c.Stop()
+	_, procs := spawn(t, 2)
 	ctx, cancel := context.WithTimeout(context.Background(), 400*time.Millisecond)
 	defer cancel()
-	_, err := c.Proc(1).Stack.Join(ctx, types.FlatGroup("nope"), c.Proc(0).ID, group.Config{})
+	_, err := procs[1].JoinGroup(ctx, "nope", procs[0].ID(), group.Config{})
 	if !errors.Is(err, types.ErrTimeout) {
 		t.Errorf("err = %v, want ErrTimeout", err)
 	}
 }
 
 func TestJoinSameGroupTwiceRejected(t *testing.T) {
-	c := cluster.MustNew(2, cluster.Options{})
-	defer c.Stop()
-	gid := types.FlatGroup("g")
-	if _, err := c.Proc(0).Stack.Create(gid, group.Config{}); err != nil {
+	_, procs := spawn(t, 2)
+	const gid = "g"
+	if _, err := procs[0].CreateGroup(gid, group.Config{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Proc(1).Stack.Join(ctxT(t), gid, c.Proc(0).ID, group.Config{}); err != nil {
+	if _, err := procs[1].JoinGroup(ctxT(t), gid, procs[0].ID(), group.Config{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Proc(1).Stack.Join(ctxT(t), gid, c.Proc(0).ID, group.Config{}); !errors.Is(err, types.ErrRejected) {
+	if _, err := procs[1].JoinGroup(ctxT(t), gid, procs[0].ID(), group.Config{}); !errors.Is(err, types.ErrRejected) {
 		t.Errorf("second join err = %v", err)
 	}
 }
 
 func TestFIFOCastDeliveredToAllMembers(t *testing.T) {
-	c := cluster.MustNew(3, cluster.Options{})
-	defer c.Stop()
+	_, procs := spawn(t, 3)
 	cols := make([]*collector, 3)
-	groups := buildGroup(t, c, 3, func(i int) group.Config {
+	groups := buildGroup(t, procs, 3, func(i int) group.Config {
 		cols[i] = &collector{}
 		return group.Config{OnDeliver: cols[i].onDeliver}
 	})
@@ -213,7 +236,7 @@ func TestFIFOCastDeliveredToAllMembers(t *testing.T) {
 		}
 	}
 	for i, col := range cols {
-		if !cluster.WaitFor(testTimeout, func() bool { return col.count() == casts }) {
+		if !waitFor(func() bool { return col.count() == casts }) {
 			t.Fatalf("member %d delivered %d of %d", i, col.count(), casts)
 		}
 		got := col.payloads()
@@ -229,10 +252,9 @@ func TestCastOrderingsDeliverEverywhere(t *testing.T) {
 	for _, o := range []types.Ordering{types.Unordered, types.FIFO, types.Causal, types.Total} {
 		o := o
 		t.Run(o.String(), func(t *testing.T) {
-			c := cluster.MustNew(3, cluster.Options{})
-			defer c.Stop()
+			_, procs := spawn(t, 3)
 			cols := make([]*collector, 3)
-			groups := buildGroup(t, c, 3, func(i int) group.Config {
+			groups := buildGroup(t, procs, 3, func(i int) group.Config {
 				cols[i] = &collector{}
 				return group.Config{OnDeliver: cols[i].onDeliver}
 			})
@@ -242,7 +264,7 @@ func TestCastOrderingsDeliverEverywhere(t *testing.T) {
 				}
 			}
 			for i, col := range cols {
-				if !cluster.WaitFor(testTimeout, func() bool { return col.count() == 3 }) {
+				if !waitFor(func() bool { return col.count() == 3 }) {
 					t.Fatalf("member %d delivered %d of 3 (%s)", i, col.count(), o)
 				}
 			}
@@ -251,10 +273,9 @@ func TestCastOrderingsDeliverEverywhere(t *testing.T) {
 }
 
 func TestTotalOrderAgreement(t *testing.T) {
-	c := cluster.MustNew(4, cluster.Options{})
-	defer c.Stop()
+	_, procs := spawn(t, 4)
 	cols := make([]*collector, 4)
-	groups := buildGroup(t, c, 4, func(i int) group.Config {
+	groups := buildGroup(t, procs, 4, func(i int) group.Config {
 		cols[i] = &collector{}
 		return group.Config{OnDeliver: cols[i].onDeliver}
 	})
@@ -277,7 +298,7 @@ func TestTotalOrderAgreement(t *testing.T) {
 
 	total := perSender * len(groups)
 	for i, col := range cols {
-		if !cluster.WaitFor(testTimeout, func() bool { return col.count() == total }) {
+		if !waitFor(func() bool { return col.count() == total }) {
 			t.Fatalf("member %d delivered %d of %d", i, col.count(), total)
 		}
 	}
@@ -294,10 +315,9 @@ func TestTotalOrderAgreement(t *testing.T) {
 }
 
 func TestCausalOrderAcrossMembers(t *testing.T) {
-	c := cluster.MustNew(3, cluster.Options{})
-	defer c.Stop()
+	_, procs := spawn(t, 3)
 	cols := make([]*collector, 3)
-	groups := buildGroup(t, c, 3, func(i int) group.Config {
+	groups := buildGroup(t, procs, 3, func(i int) group.Config {
 		cols[i] = &collector{}
 		return group.Config{OnDeliver: cols[i].onDeliver}
 	})
@@ -307,14 +327,14 @@ func TestCausalOrderAcrossMembers(t *testing.T) {
 	if err := groups[0].Cast(ctxT(t), types.Causal, []byte("question")); err != nil {
 		t.Fatal(err)
 	}
-	if !cluster.WaitFor(testTimeout, func() bool { return cols[1].count() >= 1 }) {
+	if !waitFor(func() bool { return cols[1].count() >= 1 }) {
 		t.Fatal("member 1 never saw the question")
 	}
 	if err := groups[1].Cast(ctxT(t), types.Causal, []byte("answer")); err != nil {
 		t.Fatal(err)
 	}
 	for i, col := range cols {
-		if !cluster.WaitFor(testTimeout, func() bool { return col.count() == 2 }) {
+		if !waitFor(func() bool { return col.count() == 2 }) {
 			t.Fatalf("member %d delivered %d of 2", i, col.count())
 		}
 		p := col.payloads()
@@ -325,58 +345,54 @@ func TestCausalOrderAcrossMembers(t *testing.T) {
 }
 
 func TestCastResiliencyAcks(t *testing.T) {
-	c := cluster.MustNew(4, cluster.Options{})
-	defer c.Stop()
-	groups := buildGroup(t, c, 4, func(i int) group.Config { return group.Config{Resiliency: 3} })
-	c.Fabric.ResetStats()
+	rt, procs := spawn(t, 4)
+	groups := buildGroup(t, procs, 4, func(i int) group.Config { return group.Config{Resiliency: 3} })
+	rt.Fabric().ResetStats()
 	if err := groups[1].Cast(ctxT(t), types.FIFO, []byte("resilient")); err != nil {
 		t.Fatalf("cast with resiliency 3 in a 4-member group: %v", err)
 	}
 	// Cumulative watermark reports are the only acknowledgement signal.
-	if c.Fabric.Stats().PerKind[types.KindStability] == 0 {
+	if rt.Fabric().Stats().PerKind[types.KindStability] == 0 {
 		t.Error("no stability reports on the wire: nothing acknowledged the cast")
 	}
 }
 
 func TestCastOnSingletonGroupSucceedsImmediately(t *testing.T) {
-	c := cluster.MustNew(1, cluster.Options{})
-	defer c.Stop()
+	_, procs := spawn(t, 1)
 	col := &collector{}
-	g, err := c.Proc(0).Stack.Create(types.FlatGroup("solo"), group.Config{OnDeliver: col.onDeliver, Resiliency: 3})
+	g, err := procs[0].CreateGroup("solo", group.Config{OnDeliver: col.onDeliver, Resiliency: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := g.Cast(ctxT(t), types.Total, []byte("alone")); err != nil {
 		t.Fatal(err)
 	}
-	if !cluster.WaitFor(testTimeout, func() bool { return col.count() == 1 }) {
+	if !waitFor(func() bool { return col.count() == 1 }) {
 		t.Fatal("self-delivery missing")
 	}
 }
 
 func TestStateTransferToJoiner(t *testing.T) {
-	c := cluster.MustNew(2, cluster.Options{})
-	defer c.Stop()
-	gid := types.FlatGroup("kv")
+	_, procs := spawn(t, 2)
+	const gid = "kv"
 	s0 := newTestStore()
 	s0.put("snapshot-of-application-state", 7)
-	if _, err := c.Proc(0).Stack.Create(gid, group.Config{State: s0}); err != nil {
+	if _, err := procs[0].CreateGroup(gid, group.Config{State: s0}); err != nil {
 		t.Fatal(err)
 	}
 	s1 := newTestStore()
-	if _, err := c.Proc(1).Stack.Join(ctxT(t), gid, c.Proc(0).ID, group.Config{State: s1}); err != nil {
+	if _, err := procs[1].JoinGroup(ctxT(t), gid, procs[0].ID(), group.Config{State: s1}); err != nil {
 		t.Fatal(err)
 	}
 	want := s0.snapshotString()
-	if !cluster.WaitFor(testTimeout, func() bool { return s1.snapshotString() == want }) {
+	if !waitFor(func() bool { return s1.snapshotString() == want }) {
 		t.Fatalf("state transfer missing or wrong: %q, want %q", s1.snapshotString(), want)
 	}
 }
 
 func TestLeaveShrinksView(t *testing.T) {
-	c := cluster.MustNew(3, cluster.Options{})
-	defer c.Stop()
-	groups := buildGroup(t, c, 3, func(int) group.Config { return group.Config{} })
+	_, procs := spawn(t, 3)
+	groups := buildGroup(t, procs, 3, func(int) group.Config { return group.Config{} })
 
 	if err := groups[2].Leave(ctxT(t)); err != nil {
 		t.Fatal(err)
@@ -384,92 +400,87 @@ func TestLeaveShrinksView(t *testing.T) {
 	if !groups[2].Closed() {
 		t.Error("leaver not marked closed")
 	}
-	if !cluster.WaitForViewSize(testTimeout, 2, groups[0], groups[1]) {
+	if !waitForViewSize(2, groups[0], groups[1]) {
 		t.Fatalf("views did not shrink: %v / %v", groups[0].CurrentView(), groups[1].CurrentView())
 	}
-	if groups[0].CurrentView().Contains(c.Proc(2).ID) {
+	if groups[0].CurrentView().Contains(procs[2].ID()) {
 		t.Error("left member still in view")
 	}
 }
 
 func TestCoordinatorLeaveHandsOver(t *testing.T) {
-	c := cluster.MustNew(3, cluster.Options{})
-	defer c.Stop()
-	groups := buildGroup(t, c, 3, func(int) group.Config { return group.Config{} })
+	_, procs := spawn(t, 3)
+	groups := buildGroup(t, procs, 3, func(int) group.Config { return group.Config{} })
 
 	if err := groups[0].Leave(ctxT(t)); err != nil {
 		t.Fatal(err)
 	}
-	if !cluster.WaitForViewSize(testTimeout, 2, groups[1], groups[2]) {
+	if !waitForViewSize(2, groups[1], groups[2]) {
 		t.Fatal("survivors never installed the shrunk view")
 	}
 	// The next-oldest member takes over as coordinator.
-	if got := groups[1].Coordinator(); got != c.Proc(1).ID {
-		t.Errorf("new coordinator = %v, want %v", got, c.Proc(1).ID)
+	if got := groups[1].Coordinator(); got != procs[1].ID() {
+		t.Errorf("new coordinator = %v, want %v", got, procs[1].ID())
 	}
 }
 
 func TestMemberFailureRemovedFromView(t *testing.T) {
-	c := cluster.MustNew(3, cluster.Options{})
-	defer c.Stop()
-	groups := buildGroup(t, c, 3, func(int) group.Config { return group.Config{} })
+	rt, procs := spawn(t, 3)
+	groups := buildGroup(t, procs, 3, func(int) group.Config { return group.Config{} })
 
-	c.Crash(2)
-	c.InjectFailure(2)
+	rt.Crash(procs[2])
+	rt.InjectFailure(procs[2])
 
-	if !cluster.WaitForViewSize(testTimeout, 2, groups[0], groups[1]) {
+	if !waitForViewSize(2, groups[0], groups[1]) {
 		t.Fatalf("failed member never removed: %v / %v", groups[0].CurrentView(), groups[1].CurrentView())
 	}
-	if groups[0].CurrentView().Contains(c.Proc(2).ID) {
+	if groups[0].CurrentView().Contains(procs[2].ID()) {
 		t.Error("crashed member still in view")
 	}
 }
 
 func TestCoordinatorFailureNextTakesOver(t *testing.T) {
-	c := cluster.MustNew(4, cluster.Options{})
-	defer c.Stop()
-	groups := buildGroup(t, c, 4, func(int) group.Config { return group.Config{} })
+	rt, procs := spawn(t, 4)
+	groups := buildGroup(t, procs, 4, func(int) group.Config { return group.Config{} })
 
-	c.Crash(0)
-	c.InjectFailure(0)
+	rt.Crash(procs[0])
+	rt.InjectFailure(procs[0])
 
-	if !cluster.WaitForViewSize(testTimeout, 3, groups[1], groups[2], groups[3]) {
+	if !waitForViewSize(3, groups[1], groups[2], groups[3]) {
 		t.Fatalf("survivors never installed a 3-member view: %v", groups[1].CurrentView())
 	}
 	for i := 1; i < 4; i++ {
-		if got := groups[i].Coordinator(); got != c.Proc(1).ID {
-			t.Errorf("member %d sees coordinator %v, want %v", i, got, c.Proc(1).ID)
+		if got := groups[i].Coordinator(); got != procs[1].ID() {
+			t.Errorf("member %d sees coordinator %v, want %v", i, got, procs[1].ID())
 		}
 	}
 }
 
 func TestCastingContinuesAfterFailure(t *testing.T) {
-	c := cluster.MustNew(3, cluster.Options{})
-	defer c.Stop()
+	rt, procs := spawn(t, 3)
 	cols := make([]*collector, 3)
-	groups := buildGroup(t, c, 3, func(i int) group.Config {
+	groups := buildGroup(t, procs, 3, func(i int) group.Config {
 		cols[i] = &collector{}
 		return group.Config{OnDeliver: cols[i].onDeliver}
 	})
 
-	c.Crash(1)
-	c.InjectFailure(1)
-	if !cluster.WaitForViewSize(testTimeout, 2, groups[0], groups[2]) {
+	rt.Crash(procs[1])
+	rt.InjectFailure(procs[1])
+	if !waitForViewSize(2, groups[0], groups[2]) {
 		t.Fatal("view never shrank after crash")
 	}
 	if err := groups[2].Cast(ctxT(t), types.Total, []byte("after-failure")); err != nil {
 		t.Fatalf("cast after failure: %v", err)
 	}
-	if !cluster.WaitFor(testTimeout, func() bool { return cols[0].count() >= 1 && cols[2].count() >= 1 }) {
+	if !waitFor(func() bool { return cols[0].count() >= 1 && cols[2].count() >= 1 }) {
 		t.Fatal("post-failure cast not delivered to survivors")
 	}
 }
 
 func TestViewSynchronyAllSurvivorsSeeSameViews(t *testing.T) {
-	c := cluster.MustNew(4, cluster.Options{})
-	defer c.Stop()
+	rt, procs := spawn(t, 4)
 	cols := make([]*collector, 4)
-	groups := buildGroup(t, c, 4, func(i int) group.Config {
+	groups := buildGroup(t, procs, 4, func(i int) group.Config {
 		cols[i] = &collector{}
 		return group.Config{OnView: cols[i].onView}
 	})
@@ -478,9 +489,9 @@ func TestViewSynchronyAllSurvivorsSeeSameViews(t *testing.T) {
 	if err := groups[3].Leave(ctxT(t)); err != nil {
 		t.Fatal(err)
 	}
-	c.Crash(2)
-	c.InjectFailure(2)
-	if !cluster.WaitForViewSize(testTimeout, 2, groups[0], groups[1]) {
+	rt.Crash(procs[2])
+	rt.InjectFailure(procs[2])
+	if !waitForViewSize(2, groups[0], groups[1]) {
 		t.Fatal("final view never installed")
 	}
 	// Survivors 0 and 1 must have installed the same sequence of view ids
@@ -503,31 +514,30 @@ func TestViewSynchronyAllSurvivorsSeeSameViews(t *testing.T) {
 }
 
 func TestGroupsAccessor(t *testing.T) {
-	c := cluster.MustNew(2, cluster.Options{})
-	defer c.Stop()
-	gid := types.FlatGroup("g")
-	if _, err := c.Proc(0).Stack.Create(gid, group.Config{}); err != nil {
+	_, procs := spawn(t, 2)
+	g, err := procs[0].CreateGroup("g", group.Config{})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Proc(0).Stack.Create(types.FlatGroup("h"), group.Config{}); err != nil {
+	if _, err := procs[0].CreateGroup("h", group.Config{}); err != nil {
 		t.Fatal(err)
 	}
-	ids := c.Proc(0).Stack.Groups()
+	stack := g.Stack()
+	ids := stack.Groups()
 	if len(ids) != 2 {
 		t.Errorf("Groups = %v", ids)
 	}
-	if c.Proc(0).Stack.Get(gid) == nil {
+	if stack.Get(types.FlatGroup("g")) == nil {
 		t.Error("Get returned nil for a joined group")
 	}
-	if c.Proc(0).Stack.Get(types.FlatGroup("missing")) != nil {
+	if stack.Get(types.FlatGroup("missing")) != nil {
 		t.Error("Get returned a group for an unknown id")
 	}
 }
 
 func TestCastAfterLeaveFails(t *testing.T) {
-	c := cluster.MustNew(2, cluster.Options{})
-	defer c.Stop()
-	groups := buildGroup(t, c, 2, func(int) group.Config { return group.Config{} })
+	_, procs := spawn(t, 2)
+	groups := buildGroup(t, procs, 2, func(int) group.Config { return group.Config{} })
 	if err := groups[1].Leave(ctxT(t)); err != nil {
 		t.Fatal(err)
 	}
@@ -539,10 +549,9 @@ func TestCastAfterLeaveFails(t *testing.T) {
 
 func TestConcurrentJoinsConverge(t *testing.T) {
 	const n = 8
-	c := cluster.MustNew(n, cluster.Options{})
-	defer c.Stop()
-	gid := types.FlatGroup("burst")
-	g0, err := c.Proc(0).Stack.Create(gid, group.Config{})
+	_, procs := spawn(t, n)
+	const gid = "burst"
+	g0, err := procs[0].CreateGroup(gid, group.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -554,7 +563,7 @@ func TestConcurrentJoinsConverge(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			groups[i], errs[i] = c.Proc(i).Stack.Join(ctxT(t), gid, c.Proc(0).ID, group.Config{})
+			groups[i], errs[i] = procs[i].JoinGroup(ctxT(t), gid, procs[0].ID(), group.Config{})
 		}(i)
 	}
 	wg.Wait()
@@ -563,7 +572,7 @@ func TestConcurrentJoinsConverge(t *testing.T) {
 			t.Fatalf("join %d: %v", i, errs[i])
 		}
 	}
-	if !cluster.WaitForViewSize(testTimeout, n, groups...) {
+	if !waitForViewSize(n, groups...) {
 		t.Fatalf("concurrent joins never converged: %v", groups[0].CurrentView())
 	}
 }
@@ -573,17 +582,16 @@ func TestLargeFlatGroupFiftyMembers(t *testing.T) {
 		t.Skip("short mode")
 	}
 	const n = 50 // the paper's stated practical limit for flat ISIS groups
-	c := cluster.MustNew(n, cluster.Options{})
-	defer c.Stop()
+	_, procs := spawn(t, n)
 	cols := make([]*collector, n)
-	groups := buildGroup(t, c, n, func(i int) group.Config {
+	groups := buildGroup(t, procs, n, func(i int) group.Config {
 		cols[i] = &collector{}
 		return group.Config{OnDeliver: cols[i].onDeliver}
 	})
 	if err := groups[0].Cast(ctxT(t), types.FIFO, []byte("hello-50")); err != nil {
 		t.Fatal(err)
 	}
-	if !cluster.WaitFor(testTimeout, func() bool { return cols[n-1].count() == 1 && cols[n/2].count() == 1 }) {
+	if !waitFor(func() bool { return cols[n-1].count() == 1 && cols[n/2].count() == 1 }) {
 		t.Fatal("cast not delivered across the 50-member group")
 	}
 	if v := groups[n-1].CurrentView(); v.Size() != n {
@@ -615,22 +623,19 @@ func TestCrashMidBatchUnderLossNoDupNoGap(t *testing.T) {
 	for _, o := range []types.Ordering{types.FIFO, types.Causal, types.Total} {
 		t.Run(o.String(), func(t *testing.T) {
 			const n = 4
-			c := cluster.MustNew(n, cluster.Options{
-				Netsim: netsim.Config{DupRate: 0.05, Seed: 0xC0FFEE},
-			})
-			defer c.Stop()
-			starved := c.Proc(2).ID
-			c.Fabric.AddDropRule(func(p netsim.Packet) bool {
+			rt, procs := spawn(t, n, isis.WithNetwork(netsim.Config{DupRate: 0.05, Seed: 0xC0FFEE}))
+			starved := procs[2].ID()
+			rt.Fabric().AddDropRule(func(p netsim.Packet) bool {
 				return p.Msg.Kind == types.KindCast && p.To == starved && p.Msg.ID.Seq%23 == 7
 			})
 			cols := make([]*collector, n)
 			for i := range cols {
 				cols[i] = &collector{}
 			}
-			groups := buildGroup(t, c, n, func(i int) group.Config {
+			groups := buildGroup(t, procs, n, func(i int) group.Config {
 				return group.Config{OnDeliver: cols[i].onDeliver}
 			})
-			sender := c.Proc(1).ID
+			sender := procs[1].ID()
 
 			const casts = 300
 			go func() {
@@ -641,14 +646,14 @@ func TestCrashMidBatchUnderLossNoDupNoGap(t *testing.T) {
 
 			// Let part of the stream drain, then crash the sender with frames
 			// still in its outbox window.
-			if !cluster.WaitFor(testTimeout, func() bool { return cols[0].count() >= 20 }) {
+			if !waitFor(func() bool { return cols[0].count() >= 20 }) {
 				t.Fatalf("flood never started: %d deliveries", cols[0].count())
 			}
-			c.Crash(1)
-			c.InjectFailure(1)
+			rt.Crash(procs[1])
+			rt.InjectFailure(procs[1])
 
 			survivors := []*group.Group{groups[0], groups[2], groups[3]}
-			if !cluster.WaitForViewSize(testTimeout, n-1, survivors...) {
+			if !waitForViewSize(n-1, survivors...) {
 				t.Fatal("survivors never installed the post-crash view")
 			}
 			time.Sleep(200 * time.Millisecond) // in-flight frames settle
@@ -715,18 +720,15 @@ func TestResiliencyQuorumIgnoresDuplicatedAcks(t *testing.T) {
 	// cumulative watermark reports (KindStability), the only one there is.
 	t.Run("cumulative", func(t *testing.T) {
 		const n = 3
-		c := cluster.MustNew(n, cluster.Options{
-			Netsim: netsim.Config{DupRate: 1.0, Seed: 0xACED},
-		})
-		defer c.Stop()
-		groups := buildGroup(t, c, n, func(int) group.Config {
+		rt, procs := spawn(t, n, isis.WithNetwork(netsim.Config{DupRate: 1.0, Seed: 0xACED}))
+		groups := buildGroup(t, procs, n, func(int) group.Config {
 			return group.Config{Resiliency: 2}
 		})
 		// Silence the third member's watermark reports. (Its own casts, which
 		// piggyback reports, are left alone: the sanity phase below casts from
 		// it.)
-		silenced := c.Proc(2).ID
-		c.Fabric.AddDropRule(func(p netsim.Packet) bool {
+		silenced := procs[2].ID()
+		rt.Fabric().AddDropRule(func(p netsim.Packet) bool {
 			return p.From == silenced && p.Msg.Kind == types.KindStability
 		})
 
@@ -754,16 +756,15 @@ func TestResiliencyQuorumIgnoresDuplicatedAcks(t *testing.T) {
 // caller's deadline.
 func TestCumulativeAckLostReportRecovered(t *testing.T) {
 	const n = 3
-	c := cluster.MustNew(n, cluster.Options{})
-	defer c.Stop()
-	groups := buildGroup(t, c, n, func(int) group.Config {
+	rt, procs := spawn(t, n)
+	groups := buildGroup(t, procs, n, func(int) group.Config {
 		return group.Config{Resiliency: 2}
 	})
 
-	victim := c.Proc(2).ID
+	victim := procs[2].ID()
 	dropped := false
 	var mu sync.Mutex
-	removeRule := c.Fabric.AddDropRule(func(p netsim.Packet) bool {
+	removeRule := rt.Fabric().AddDropRule(func(p netsim.Packet) bool {
 		if p.Msg.Kind != types.KindStability || p.From != victim {
 			return false
 		}
@@ -795,16 +796,15 @@ func TestCrashMidBatchNoDupNoGap(t *testing.T) {
 	for _, o := range []types.Ordering{types.FIFO, types.Causal, types.Total} {
 		t.Run(o.String(), func(t *testing.T) {
 			const n = 4
-			c := cluster.MustNew(n, cluster.Options{})
-			defer c.Stop()
+			rt, procs := spawn(t, n)
 			cols := make([]*collector, n)
 			for i := range cols {
 				cols[i] = &collector{}
 			}
-			groups := buildGroup(t, c, n, func(i int) group.Config {
+			groups := buildGroup(t, procs, n, func(i int) group.Config {
 				return group.Config{OnDeliver: cols[i].onDeliver}
 			})
-			sender := c.Proc(1).ID
+			sender := procs[1].ID()
 
 			const casts = 300
 			go func() {
@@ -814,14 +814,14 @@ func TestCrashMidBatchNoDupNoGap(t *testing.T) {
 			}()
 
 			// Let part of the stream drain, then crash the sender mid-flood.
-			if !cluster.WaitFor(testTimeout, func() bool { return cols[0].count() >= 20 }) {
+			if !waitFor(func() bool { return cols[0].count() >= 20 }) {
 				t.Fatalf("flood never started: %d deliveries", cols[0].count())
 			}
-			c.Crash(1)
-			c.InjectFailure(1)
+			rt.Crash(procs[1])
+			rt.InjectFailure(procs[1])
 
 			survivors := []*group.Group{groups[0], groups[2], groups[3]}
-			if !cluster.WaitForViewSize(testTimeout, n-1, survivors...) {
+			if !waitForViewSize(n-1, survivors...) {
 				t.Fatal("survivors never installed the post-crash view")
 			}
 			time.Sleep(200 * time.Millisecond) // in-flight frames settle

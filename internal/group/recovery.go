@@ -59,10 +59,6 @@ func (g *Group) onRecoveryTick() {
 		g.stateXferTick()
 	}
 
-	if rcfg.DisableRetransmit {
-		return
-	}
-
 	// Resiliency repair: a blocking cast still waiting after a full interval
 	// re-sends itself to the members whose watermark reports have not
 	// covered it. Receivers treat the copy as a duplicate and re-send their
@@ -265,7 +261,7 @@ func (g *Group) renotifyWaiters() {
 // requester's current view may be the one we just left, which is why the
 // previous view's tracker is retained for one view change.
 func (g *Group) onNak(m *types.Message) {
-	if g.closed || g.cfg.Reliability.DisableRetransmit {
+	if g.closed {
 		return
 	}
 	var tr *reliability.Tracker
@@ -301,7 +297,7 @@ func (g *Group) onNak(m *types.Message) {
 // onNakOrder answers with the ABCAST bindings we retain above the
 // requester's delivered prefix.
 func (g *Group) onNakOrder(m *types.Message) {
-	if g.closed || g.cfg.Reliability.DisableRetransmit {
+	if g.closed {
 		return
 	}
 	var tt *order.Total

@@ -54,7 +54,7 @@ type BatchHandler func([]*types.Message)
 type Node struct {
 	pid types.ProcessID
 	ep  transport.Endpoint
-	ob  *outbox // nil when batching is disabled
+	ob  *outbox
 
 	handlersMu sync.RWMutex
 	handlers   map[types.Kind]Handler
@@ -97,9 +97,7 @@ func NewWithBatching(pid types.ProcessID, network transport.Network, b Batching)
 		stopped:  make(chan struct{}),
 		timers:   make(map[*time.Timer]struct{}),
 	}
-	if !b.Disable {
-		n.ob = newOutbox(ep, b.withDefaults())
-	}
+	n.ob = newOutbox(ep, b.withDefaults())
 	return n, nil
 }
 
@@ -160,9 +158,7 @@ func (n *Node) Stop() {
 		if n.started.Load() {
 			<-n.stopped
 		}
-		if n.ob != nil {
-			n.ob.stop()
-		}
+		n.ob.stop()
 		n.timerMu.Lock()
 		for t := range n.timers {
 			t.Stop()
@@ -195,9 +191,7 @@ func (n *Node) loop() {
 		default:
 			// Out of queued work: flush coalesced sends before blocking, so
 			// batching never delays a message while the process is idle.
-			if n.ob != nil {
-				n.ob.flushAll()
-			}
+			n.ob.flushAll()
 			select {
 			case <-n.stop:
 				return
@@ -300,12 +294,10 @@ func (n *Node) Call(fn func()) error {
 func (n *Node) Send(to types.ProcessID, msg *types.Message) error {
 	msg.From = n.pid
 	msg.To = to
-	if n.ob != nil {
-		if msg.Kind.DataPath() {
-			return n.ob.enqueue(msg)
-		}
-		n.ob.flushDest(to)
+	if msg.Kind.DataPath() {
+		return n.ob.enqueue(msg)
 	}
+	n.ob.flushDest(to)
 	return n.ep.Send(msg)
 }
 

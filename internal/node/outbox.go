@@ -10,8 +10,8 @@ import (
 
 // Batching configures the sender-side outbox that coalesces hot-path
 // multicast traffic (the kinds types.Kind.DataPath names) into batch
-// frames. The zero value selects the defaults; set Disable to get the
-// historical one-frame-per-message behaviour.
+// frames. The zero value selects the defaults; MaxBatch 1 sends every
+// message in a frame of its own.
 type Batching struct {
 	// MaxBatch caps how many messages one flushed frame may carry. A queue
 	// reaching the cap is flushed immediately. Zero selects 256.
@@ -22,10 +22,6 @@ type Batching struct {
 	// actor loop flushes whenever it runs out of queued work. Zero selects
 	// 2ms, comfortably inside the group layer's view-install grace.
 	Window time.Duration
-	// Disable bypasses the outbox entirely: every send is transmitted on
-	// its own, the pre-batching behaviour. The E9 experiment uses it as
-	// the baseline.
-	Disable bool
 }
 
 // DefaultBatching returns the default knob settings.

@@ -43,10 +43,6 @@ type Config struct {
 	// n-member group costs O(n·fanout) messages per tick instead of O(n²) —
 	// the term that would otherwise dominate large groups. Zero selects 4.
 	StabilityFanout int
-	// DisableRetransmit turns the NAK/retransmit machinery and flush
-	// forwarding off, restoring the pre-stability best-effort behaviour.
-	// The E11 experiment uses it as the baseline; deployments do not.
-	DisableRetransmit bool
 }
 
 // WithDefaults fills zero fields with the default knob settings.

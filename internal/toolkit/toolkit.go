@@ -14,7 +14,6 @@ package toolkit
 
 import (
 	"context"
-	"fmt"
 	"sync"
 	"time"
 
@@ -96,8 +95,11 @@ func (s *Service) Counters() (handled, requestCopies, resultCopies int) {
 
 // FlatServer exposes a coordinator-cohort Service to clients over the node's
 // KindHRoute messages — the flat-group counterpart of the hierarchical
-// request routing in internal/core. Do not combine a FlatServer and a
-// core.Host on the same node: they both own the KindHRoute handler.
+// request routing in internal/core. A core.Client (isis
+// Process.NewServiceClient) is its client: the server ignores the request's
+// group id. NewFlatServer takes the KindHRoute handler over from the
+// process's core.Host, so that process cannot also serve a hierarchical
+// service.
 type FlatServer struct {
 	svc *Service
 }
@@ -131,36 +133,4 @@ func NewFlatServer(svc *Service) *FlatServer {
 		}()
 	})
 	return fs
-}
-
-// FlatClient issues requests against a FlatServer-backed service.
-type FlatClient struct {
-	node  nodeSender
-	entry types.ProcessID
-	name  string
-}
-
-// nodeSender is the subset of *node.Node the client needs (kept as an
-// interface so toolkit does not import the node package directly and tests
-// can fake it).
-type nodeSender interface {
-	Request(ctx context.Context, to types.ProcessID, msg *types.Message) (*types.Message, error)
-}
-
-// NewFlatClient creates a client of the flat service reachable via entry.
-func NewFlatClient(n nodeSender, name string, entry types.ProcessID) *FlatClient {
-	return &FlatClient{node: n, entry: entry, name: name}
-}
-
-// Request sends one request and returns the coordinator's reply.
-func (c *FlatClient) Request(ctx context.Context, payload []byte) ([]byte, error) {
-	reply, err := c.node.Request(ctx, c.entry, &types.Message{
-		Kind:    types.KindHRoute,
-		Group:   types.FlatGroup(c.name),
-		Payload: payload,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("flat request to %q: %w", c.name, err)
-	}
-	return reply.Payload, nil
 }

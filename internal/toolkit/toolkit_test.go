@@ -8,7 +8,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/cluster"
+	isis "repro"
 	"repro/internal/group"
 	"repro/internal/toolkit"
 	"repro/internal/types"
@@ -22,10 +22,28 @@ func ctxT(t *testing.T) context.Context {
 	return ctx
 }
 
+// spawn starts n processes on a simulated runtime shut down at test end.
+func spawn(t *testing.T, n int) (*isis.Runtime, []*isis.Process) {
+	rt := isis.NewSimulated()
+	t.Cleanup(rt.Shutdown)
+	procs := make([]*isis.Process, n)
+	for i := range procs {
+		procs[i] = rt.MustSpawn()
+	}
+	return rt, procs
+}
+
+// waitFor polls cond for up to testTimeout.
+func waitFor(cond func() bool) bool {
+	ctx, cancel := context.WithTimeout(context.Background(), testTimeout)
+	defer cancel()
+	return isis.Await(ctx, cond) == nil
+}
+
 // buildGroup assembles a flat group of n members with a composable OnDeliver.
-func buildGroup(t *testing.T, c *cluster.Cluster, n int, deliver func(i int) func(group.Delivery)) []*group.Group {
+func buildGroup(t *testing.T, procs []*isis.Process, n int, deliver func(i int) func(group.Delivery)) []*group.Group {
 	t.Helper()
-	gid := types.FlatGroup("tool")
+	const gid = "tool"
 	groups := make([]*group.Group, n)
 	cfg := func(i int) group.Config {
 		var onDeliver func(group.Delivery)
@@ -35,17 +53,25 @@ func buildGroup(t *testing.T, c *cluster.Cluster, n int, deliver func(i int) fun
 		return group.Config{OnDeliver: onDeliver}
 	}
 	var err error
-	groups[0], err = c.Proc(0).Stack.Create(gid, cfg(0))
+	groups[0], err = procs[0].CreateGroup(gid, cfg(0))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 1; i < n; i++ {
-		groups[i], err = c.Proc(i).Stack.Join(ctxT(t), gid, c.Proc(0).ID, cfg(i))
+		groups[i], err = procs[i].JoinGroup(ctxT(t), gid, procs[0].ID(), cfg(i))
 		if err != nil {
 			t.Fatalf("join %d: %v", i, err)
 		}
 	}
-	if !cluster.WaitForViewSize(testTimeout, n, groups...) {
+	converged := waitFor(func() bool {
+		for _, g := range groups {
+			if g.Size() != n {
+				return false
+			}
+		}
+		return true
+	})
+	if !converged {
 		t.Fatal("group never converged")
 	}
 	return groups
@@ -53,11 +79,10 @@ func buildGroup(t *testing.T, c *cluster.Cluster, n int, deliver func(i int) fun
 
 func TestCoordinatorCohortFlatService(t *testing.T) {
 	const n = 4
-	c := cluster.MustNew(n+1, cluster.Options{})
-	defer c.Stop()
+	_, procs := spawn(t, n+1)
 
 	services := make([]*toolkit.Service, n)
-	groups := buildGroup(t, c, n, func(i int) func(group.Delivery) {
+	groups := buildGroup(t, procs, n, func(i int) func(group.Delivery) {
 		return func(d group.Delivery) {
 			if services[i] != nil {
 				services[i].Deliver(d)
@@ -71,7 +96,7 @@ func TestCoordinatorCohortFlatService(t *testing.T) {
 		toolkit.NewFlatServer(services[i])
 	}
 
-	client := toolkit.NewFlatClient(c.Proc(n).Node, "tool", c.Proc(1).ID) // contact a cohort: must forward
+	client := procs[n].NewServiceClient("tool", procs[1].ID()) // contact a cohort: must forward
 	reply, err := client.Request(ctxT(t), []byte("do-work"))
 	if err != nil {
 		t.Fatal(err)
@@ -85,7 +110,7 @@ func TestCoordinatorCohortFlatService(t *testing.T) {
 	if handled != 1 {
 		t.Errorf("coordinator handled %d requests", handled)
 	}
-	ok := cluster.WaitFor(testTimeout, func() bool {
+	ok := waitFor(func() bool {
 		for i := 1; i < n; i++ {
 			_, reqCopies, resCopies := services[i].Counters()
 			if reqCopies != 1 || resCopies != 1 {
@@ -104,28 +129,27 @@ func TestCoordinatorCohortMessageCostGrowsWithGroupSize(t *testing.T) {
 	// on the order of 2n messages. Check that doubling n roughly doubles the
 	// per-request message count.
 	cost := func(n int) uint64 {
-		c := cluster.MustNew(n+1, cluster.Options{})
-		defer c.Stop()
+		rt, procs := spawn(t, n+1)
 		services := make([]*toolkit.Service, n)
-		groups := buildGroup(t, c, n, func(i int) func(group.Delivery) {
+		groups := buildGroup(t, procs, n, func(i int) func(group.Delivery) {
 			return func(d group.Delivery) { services[i].Deliver(d) }
 		})
 		for i := range services {
 			services[i] = toolkit.NewService(groups[i], func(p []byte) []byte { return p })
 			toolkit.NewFlatServer(services[i])
 		}
-		client := toolkit.NewFlatClient(c.Proc(n).Node, "tool", c.Proc(0).ID)
+		client := procs[n].NewServiceClient("tool", procs[0].ID())
 		// Warm up once, then measure.
 		if _, err := client.Request(ctxT(t), []byte("warm")); err != nil {
 			t.Fatal(err)
 		}
 		time.Sleep(30 * time.Millisecond)
-		c.Fabric.ResetStats()
+		rt.Fabric().ResetStats()
 		if _, err := client.Request(ctxT(t), []byte("measured")); err != nil {
 			t.Fatal(err)
 		}
 		time.Sleep(30 * time.Millisecond)
-		return c.Fabric.Stats().MessagesSent
+		return rt.Fabric().Stats().MessagesSent
 	}
 	small := cost(4)
 	large := cost(8)
@@ -139,10 +163,9 @@ func TestCoordinatorCohortMessageCostGrowsWithGroupSize(t *testing.T) {
 
 func TestReplicatedDataConvergesEverywhere(t *testing.T) {
 	const n = 3
-	c := cluster.MustNew(n, cluster.Options{})
-	defer c.Stop()
+	_, procs := spawn(t, n)
 	repls := make([]*toolkit.Replicated, n)
-	groups := buildGroup(t, c, n, func(i int) func(group.Delivery) {
+	groups := buildGroup(t, procs, n, func(i int) func(group.Delivery) {
 		return func(d group.Delivery) { repls[i].Apply(d) }
 	})
 	for i := range repls {
@@ -154,7 +177,7 @@ func TestReplicatedDataConvergesEverywhere(t *testing.T) {
 	if err := repls[1].Set(ctxT(t), "DEC", "42.0"); err != nil {
 		t.Fatal(err)
 	}
-	ok := cluster.WaitFor(testTimeout, func() bool {
+	ok := waitFor(func() bool {
 		for _, r := range repls {
 			if r.Len() != 2 {
 				return false
@@ -183,10 +206,9 @@ func TestReplicatedDataConvergesEverywhere(t *testing.T) {
 
 func TestReplicatedConcurrentWritersConverge(t *testing.T) {
 	const n = 3
-	c := cluster.MustNew(n, cluster.Options{})
-	defer c.Stop()
+	_, procs := spawn(t, n)
 	repls := make([]*toolkit.Replicated, n)
-	groups := buildGroup(t, c, n, func(i int) func(group.Delivery) {
+	groups := buildGroup(t, procs, n, func(i int) func(group.Delivery) {
 		return func(d group.Delivery) { repls[i].Apply(d) }
 	})
 	for i := range repls {
@@ -203,7 +225,7 @@ func TestReplicatedConcurrentWritersConverge(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	ok := cluster.WaitFor(testTimeout, func() bool {
+	ok := waitFor(func() bool {
 		v0, ok0 := repls[0].Get("contended")
 		if !ok0 {
 			return false
@@ -228,10 +250,9 @@ func firstVal(r *toolkit.Replicated) string {
 
 func TestMutexMutualExclusionAndOrder(t *testing.T) {
 	const n = 3
-	c := cluster.MustNew(n, cluster.Options{})
-	defer c.Stop()
+	_, procs := spawn(t, n)
 	mtxs := make([]*toolkit.Mutex, n)
-	groups := buildGroup(t, c, n, func(i int) func(group.Delivery) {
+	groups := buildGroup(t, procs, n, func(i int) func(group.Delivery) {
 		return func(d group.Delivery) { mtxs[i].Apply(d) }
 	})
 	for i := range mtxs {
@@ -273,7 +294,7 @@ func TestMutexMutualExclusionAndOrder(t *testing.T) {
 		t.Errorf("mutual exclusion violated: %d holders at once", maxInside)
 	}
 	// Every member must have observed the same grant order.
-	ok := cluster.WaitFor(testTimeout, func() bool {
+	ok := waitFor(func() bool {
 		h0 := mtxs[0].History()
 		for _, m := range mtxs[1:] {
 			h := m.History()
@@ -299,9 +320,8 @@ func TestMutexMutualExclusionAndOrder(t *testing.T) {
 
 func TestParallelScatterGather(t *testing.T) {
 	const n = 4
-	c := cluster.MustNew(n, cluster.Options{})
-	defer c.Stop()
-	groups := buildGroup(t, c, n, nil)
+	_, procs := spawn(t, n)
+	groups := buildGroup(t, procs, n, nil)
 	pars := make([]*toolkit.Parallel, n)
 	for i := range pars {
 		pars[i] = toolkit.NewParallel(groups[i], func(item []byte) []byte {
@@ -326,11 +346,10 @@ func TestParallelScatterGather(t *testing.T) {
 
 func TestTransactionCommitAppliesEverywhere(t *testing.T) {
 	const n = 3
-	c := cluster.MustNew(n, cluster.Options{})
-	defer c.Stop()
+	_, procs := spawn(t, n)
 	repls := make([]*toolkit.Replicated, n)
 	txns := make([]*toolkit.Txn, n)
-	groups := buildGroup(t, c, n, func(i int) func(group.Delivery) {
+	groups := buildGroup(t, procs, n, func(i int) func(group.Delivery) {
 		return func(d group.Delivery) {
 			repls[i].Apply(d)
 			txns[i].Apply(d)
@@ -344,7 +363,7 @@ func TestTransactionCommitAppliesEverywhere(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ok := cluster.WaitFor(testTimeout, func() bool {
+	ok := waitFor(func() bool {
 		for _, r := range repls {
 			if r.Len() != 2 {
 				return false
@@ -364,11 +383,10 @@ func TestTransactionCommitAppliesEverywhere(t *testing.T) {
 
 func TestTransactionVetoAborts(t *testing.T) {
 	const n = 3
-	c := cluster.MustNew(n, cluster.Options{})
-	defer c.Stop()
+	_, procs := spawn(t, n)
 	repls := make([]*toolkit.Replicated, n)
 	txns := make([]*toolkit.Txn, n)
-	groups := buildGroup(t, c, n, func(i int) func(group.Delivery) {
+	groups := buildGroup(t, procs, n, func(i int) func(group.Delivery) {
 		return func(d group.Delivery) {
 			repls[i].Apply(d)
 			txns[i].Apply(d)

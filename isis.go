@@ -217,18 +217,12 @@ func WithHeartbeats() Option {
 // substrates batch — the simulated fabric delivers a frame as one queue
 // operation, TCP writes it as one length-prefixed wire frame. Zero values
 // select the defaults (256 messages, 2ms). Batching is on by default;
-// WithBatching is only needed to tune it.
+// WithBatching is only needed to tune it. WithBatching(1, 0) sends every
+// message in a frame of its own.
 func WithBatching(maxBatch int, window time.Duration) Option {
 	return func(o *options) {
 		o.batching = BatchingConfig{MaxBatch: maxBatch, Window: window}
 	}
-}
-
-// WithoutBatching disables send coalescing: every message is transmitted as
-// its own frame, the pre-batching behaviour. The E9 experiment uses it as
-// the baseline; real deployments have no reason to.
-func WithoutBatching() Option {
-	return func(o *options) { o.batching = BatchingConfig{Disable: true} }
 }
 
 // WithReliability tunes the message-stability and NAK/retransmit layer used
@@ -237,14 +231,6 @@ func WithoutBatching() Option {
 // tune it.
 func WithReliability(cfg ReliabilityConfig) Option {
 	return func(o *options) { o.reliability = cfg }
-}
-
-// WithoutRetransmit disables the NAK/retransmit machinery, flush forwarding
-// and sequencer failover, restoring the pre-stability best-effort multicast.
-// The E11 experiment uses it as the lossy-network baseline; real deployments
-// have no reason to.
-func WithoutRetransmit() Option {
-	return func(o *options) { o.reliability = ReliabilityConfig{DisableRetransmit: true} }
 }
 
 // WithFaultPlan attaches a fault plan to a simulated runtime: a timeline of
@@ -388,15 +374,8 @@ func (r *Runtime) Shutdown() {
 // ephemeral loopback port and is registered with every process sharing this
 // Runtime value.
 func (r *Runtime) Spawn() (*Process, error) {
-	r.mu.Lock()
-	r.nextSite++
-	for r.sites[r.nextSite] != 0 {
-		r.nextSite++
-	}
-	r.sites[r.nextSite] = siteLocal
-	pid := ProcessID{Site: types.SiteID(r.nextSite), Incarnation: 1}
-	r.mu.Unlock()
-	return r.spawnPID(pid, r.walDirFor(uint32(pid.Site)))
+	site := r.claimNextSite()
+	return r.spawnPID(Site(site), r.walDirFor(site))
 }
 
 // SpawnWAL is Spawn with an explicit write-ahead-log directory for this one
@@ -404,15 +383,20 @@ func (r *Runtime) Spawn() (*Process, error) {
 // directory. Restart harnesses use it to hand a replacement process its
 // predecessor's log.
 func (r *Runtime) SpawnWAL(dir string) (*Process, error) {
+	return r.spawnPID(Site(r.claimNextSite()), dir)
+}
+
+// claimNextSite reserves the lowest unused site id above the last one
+// assigned, skipping sites claimed by SpawnIncarnation or AddPeer.
+func (r *Runtime) claimNextSite() uint32 {
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	r.nextSite++
 	for r.sites[r.nextSite] != 0 {
 		r.nextSite++
 	}
 	r.sites[r.nextSite] = siteLocal
-	pid := ProcessID{Site: types.SiteID(r.nextSite), Incarnation: 1}
-	r.mu.Unlock()
-	return r.spawnPID(pid, dir)
+	return r.nextSite
 }
 
 // walDirFor maps a site id to its per-site log directory under the
@@ -431,12 +415,17 @@ func (r *Runtime) spawnPID(pid ProcessID, walDir string) (*Process, error) {
 	}
 	bp, err := boot.Spawn(pid, network, r.opts.detector, r.opts.batching, walDir)
 	if err != nil {
-		r.mu.Lock()
-		delete(r.sites, uint32(pid.Site))
-		r.mu.Unlock()
+		r.releaseSite(uint32(pid.Site))
 		return nil, fmt.Errorf("isis: spawn: %w", err)
 	}
 	return r.adopt(bp), nil
+}
+
+// releaseSite returns a claimed site id whose process failed to start.
+func (r *Runtime) releaseSite(site uint32) {
+	r.mu.Lock()
+	delete(r.sites, site)
+	r.mu.Unlock()
 }
 
 // MustSpawn is Spawn for examples and tests that cannot proceed on error.
@@ -453,34 +442,7 @@ func (r *Runtime) MustSpawn() *Process {
 // workstation — attach to a deployment. It fails with ErrWrongTransport on
 // simulated runtimes.
 func (r *Runtime) SpawnAt(site uint32, listen string) (*Process, error) {
-	if r.tcp == nil {
-		return nil, fmt.Errorf("isis: SpawnAt(%d, %q): %w", site, listen, ErrWrongTransport)
-	}
-	r.mu.Lock()
-	if r.sites[site] != 0 {
-		r.mu.Unlock()
-		return nil, fmt.Errorf("isis: SpawnAt(%d, %q): site id already in use", site, listen)
-	}
-	r.sites[site] = siteLocal
-	r.mu.Unlock()
-	release := func() {
-		r.mu.Lock()
-		delete(r.sites, site)
-		r.mu.Unlock()
-	}
-	pid := Site(site)
-	ep, err := r.tcp.AttachAt(pid, listen)
-	if err != nil {
-		release()
-		return nil, fmt.Errorf("isis: spawn at %s: %w", listen, err)
-	}
-	bp, err := boot.Spawn(pid, transport.Fixed{Endpoint: ep}, r.opts.detector, r.opts.batching, r.walDirFor(site))
-	if err != nil {
-		_ = ep.Close()
-		release()
-		return nil, fmt.Errorf("isis: spawn at %s: %w", listen, err)
-	}
-	return r.adopt(bp), nil
+	return r.SpawnIncarnation(site, 1, listen)
 }
 
 // SpawnIncarnation is SpawnAt with an explicit incarnation number. A
@@ -505,21 +467,16 @@ func (r *Runtime) SpawnIncarnation(site uint32, incarnation uint32, listen strin
 	}
 	r.sites[site] = siteLocal
 	r.mu.Unlock()
-	release := func() {
-		r.mu.Lock()
-		delete(r.sites, site)
-		r.mu.Unlock()
-	}
 	pid := ProcessID{Site: types.SiteID(site), Incarnation: incarnation}
 	ep, err := r.tcp.AttachAt(pid, listen)
 	if err != nil {
-		release()
+		r.releaseSite(site)
 		return nil, fmt.Errorf("isis: spawn at %s: %w", listen, err)
 	}
 	bp, err := boot.Spawn(pid, transport.Fixed{Endpoint: ep}, r.opts.detector, r.opts.batching, r.walDirFor(site))
 	if err != nil {
 		_ = ep.Close()
-		release()
+		r.releaseSite(site)
 		return nil, fmt.Errorf("isis: spawn at %s: %w", listen, err)
 	}
 	return r.adopt(bp), nil

@@ -369,8 +369,9 @@ func TestFacadeFaultPlanAndObserver(t *testing.T) {
 }
 
 // TestFacadeBatchingOptions pins the batching knobs: casts flow end to end
-// with tuned batching, with batching disabled, and (the default) with it
-// on — and the simulated fabric's frame counters reflect the difference.
+// with tuned batching and with a batch cap of one (the unbatched baseline,
+// one message per frame), and the simulated fabric's frame counters
+// reflect the difference.
 func TestFacadeBatchingOptions(t *testing.T) {
 	run := func(rt *isis.Runtime) (delivered int32, st isis.Stats) {
 		defer rt.Shutdown()
@@ -397,7 +398,11 @@ func TestFacadeBatchingOptions(t *testing.T) {
 	}
 
 	_, tuned := run(isis.NewSimulated(isis.WithBatching(16, time.Millisecond)))
-	_, off := run(isis.NewSimulated(isis.WithoutBatching()))
+	_, off := run(isis.NewSimulated(isis.WithBatching(1, 0)))
+	if off.FramesSent != off.MessagesSent {
+		t.Errorf("batch cap 1 sent %d messages in %d frames, want one message per frame",
+			off.MessagesSent, off.FramesSent)
+	}
 	if tuned.FramesSent >= off.FramesSent {
 		t.Errorf("tuned batching sent %d frames, unbatched %d: coalescing had no effect",
 			tuned.FramesSent, off.FramesSent)
